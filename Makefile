@@ -18,11 +18,14 @@ bench-full:
 # Machine-readable benchmark records (ops/s, CAS/op, minor words/op)
 # under results/, stamped with the git revision. micro runs with --obs
 # so the record gains the telemetry block (pendingness percentiles,
-# mean splice batch, elimination hit rate).
+# mean splice batch, elimination hit rate). Every record is then
+# schema-checked.
 bench-json:
 	mkdir -p results
 	dune exec bench/main.exe -- micro --obs --json results/BENCH_micro.json
 	dune exec bench/main.exe -- fig4 --quick --json results/BENCH_fig4.json
+	dune exec bin/validate_bench.exe -- results/BENCH_micro.json --bench micro
+	dune exec bin/validate_bench.exe -- results/BENCH_fig4.json --bench fig4
 
 # Machine-readable self-tuning run: the controller against hand-tuned
 # statics over (threads x steady/bursty) contention regimes. The
@@ -59,22 +62,25 @@ chaos:
 
 # Machine-readable chaos run: kill-enabled seeded faults, watchdog on,
 # recording killed / takeovers / retired / poisoned / recovered per
-# (impl, threads) cell under results/.
+# (impl, threads) cell under results/, then schema-checked.
 bench-chaos-json:
 	mkdir -p results
 	dune exec bench/main.exe -- chaos --ops 2000 --repeats 4 \
 		--threads 1,2,4 --seed $(CHAOS_SEED) \
 		--json results/BENCH_chaos.json
+	dune exec bin/validate_bench.exe -- results/BENCH_chaos.json --bench chaos
 
 # Machine-readable sharded-store run: the perf panel (centralized weak
 # map vs the sharded store) plus scripted owner kills at each transfer
 # protocol step (shard.grant / shard.ship / shard.ack), recording the
-# transfer counters (requests/ships/acks/recovers/poisoned) per cell.
+# transfer counters (requests/ships/acks/recovers/poisoned) per cell,
+# then schema-checked.
 bench-shard-json:
 	mkdir -p results
 	dune exec bench/main.exe -- shard --ops 2000 --repeats 2 \
 		--threads 1,2,4 --seed $(CHAOS_SEED) \
 		--json results/BENCH_shard.json
+	dune exec bin/validate_bench.exe -- results/BENCH_shard.json --bench shard
 
 # Machine-readable open-loop service run: the saturation sweep (offered
 # load x backend, Poisson arrivals, admission controller live) plus the

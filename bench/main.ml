@@ -28,7 +28,7 @@
    Options:
      --quick              small sizes for a fast smoke run
      --full               the paper's 100K ops per thread
-     --ops N --repeats N --threads a,b,c --slacks a,b,c --csv
+     --ops N --repeats N --threads a,b,c --slacks a,b,c
      --obs                turn the observability subsystem on (same as
                           FLDS_OBS=1); adds an "obs" block to --json
      --trace PATH         implies --obs; at exit export the flight
@@ -40,13 +40,13 @@
 
 module Future = Futures.Future
 module R = Fl.Registry
+module SL = Workload.Slack_loop
 
 type config = {
   threads : int list;
   slacks : int list;
   ops : int;
   repeats : int;
-  csv : bool;
 }
 
 let default_config =
@@ -55,52 +55,32 @@ let default_config =
     slacks = [ 1; 10; 20; 100 ];
     ops = 20_000;
     repeats = 3;
-    csv = false;
   }
 
 (* --------------------------- JSON output ----------------------------- *)
 
 (* Machine-readable sink for CI and results/: every measurement taken
    while [--json PATH] is set is also appended here and written as one
-   JSON document at exit. Hand-rolled: the records are flat and the repo
-   deliberately has no JSON dependency. *)
+   JSON document at exit. *)
 
 let json_path : string option ref = ref None
-let json_records : string list ref = ref []
+let json_records : Json.t list ref = ref []
 
 (* Observability: [--obs] flips the runtime switch (equivalent to
    FLDS_OBS=1); [--trace PATH] additionally exports the flight recorder
    at exit. Both work with every subcommand, chaos included. *)
 let trace_path : string option ref = ref None
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_num x =
-  if Float.is_finite x then Printf.sprintf "%.6g" x else "null"
+let int_num v = Json.Num (float_of_int v)
 
 let record ~bench ~impl ~slack ~domains fields =
-  if !json_path <> None then begin
-    let extras =
-      List.map (fun (k, v) -> Printf.sprintf ",%S:%s" k (json_num v)) fields
-    in
+  if !json_path <> None then
     json_records :=
-      Printf.sprintf "{\"bench\":\"%s\",\"impl\":\"%s\",\"slack\":%d,\"domains\":%d%s}"
-        (json_escape bench) (json_escape impl) slack domains
-        (String.concat "" extras)
+      Json.Obj
+        (("bench", Json.Str bench) :: ("impl", Json.Str impl)
+        :: ("slack", int_num slack) :: ("domains", int_num domains)
+        :: List.map (fun (k, v) -> (k, Json.Num v)) fields)
       :: !json_records
-  end
 
 let record_measurement ~bench ~impl ~slack (m : Workload.Runner.measurement) =
   record ~bench ~impl ~slack ~domains:m.Workload.Runner.threads
@@ -125,66 +105,69 @@ let git_rev () =
    percentiles, splice batch size, elimination hit rate, lease and
    recovery counters) accumulated over the whole process run. *)
 let obs_json_block () =
-  if not (Obs.enabled ()) then ""
+  if not (Obs.enabled ()) then []
   else begin
     let s = Obs.Metrics.snapshot () in
-    let i k v = Printf.sprintf "\"%s\": %d" k v in
-    let f k v = Printf.sprintf "\"%s\": %s" k (json_num v) in
-    let fields =
-      [
-        i "futures_created" s.Obs.Metrics.futures_created;
-        i "futures_fulfilled" s.Obs.Metrics.futures_fulfilled;
-        i "futures_forced" s.Obs.Metrics.futures_forced;
-        i "futures_cancelled" s.Obs.Metrics.futures_cancelled;
-        i "futures_poisoned" s.Obs.Metrics.futures_poisoned;
-        i "futures_rejected" s.Obs.Metrics.futures_rejected;
-        i "pendingness_p50_ns" (Obs.Metrics.pendingness_p50 s);
-        i "pendingness_p99_ns" (Obs.Metrics.pendingness_p99 s);
-        i "pendingness_p999_ns" (Obs.Metrics.pendingness_p999 s);
-        i "force_p50_ns" (Obs.Metrics.force_p50 s);
-        i "force_p99_ns" (Obs.Metrics.force_p99 s);
-        i "force_p999_ns" (Obs.Metrics.force_p999 s);
-        i "transfer_p999_ns" (Obs.Metrics.transfer_p999 s);
-        i "splices" s.Obs.Metrics.splices;
-        i "splice_ops" s.Obs.Metrics.splice_ops;
-        f "mean_splice_batch" (Obs.Metrics.mean_splice_batch s);
-        i "elim_hits" s.Obs.Metrics.elim_hits;
-        i "elim_misses" s.Obs.Metrics.elim_misses;
-        f "elim_hit_rate" (Obs.Metrics.elim_hit_rate s);
-        i "elim_wait_p99_ns" (Obs.Metrics.elim_wait_p99 s);
-        i "elim_wait_p999_ns" (Obs.Metrics.elim_wait_p999 s);
-        i "combiner_acquires" s.Obs.Metrics.combiner_acquires;
-        i "combiner_takeovers" s.Obs.Metrics.combiner_takeovers;
-        i "combiner_retires" s.Obs.Metrics.combiner_retires;
-        i "backoff_exhausted" s.Obs.Metrics.backoff_exhausted;
-        i "workers_killed" s.Obs.Metrics.workers_killed;
-        i "workers_recovered" s.Obs.Metrics.workers_recovered;
-        i "workers_stalled" s.Obs.Metrics.workers_stalled;
-        i "shard_degraded_finds" s.Obs.Metrics.shard_degraded_finds;
-        i "service_admitted" s.Obs.Metrics.service_admitted;
-        i "service_shed" s.Obs.Metrics.service_shed;
-        i "service_degrades" s.Obs.Metrics.service_degrades;
-        i "service_p50_ns" (Obs.Metrics.service_p50 s);
-        i "service_p99_ns" (Obs.Metrics.service_p99 s);
-        i "service_p999_ns" (Obs.Metrics.service_p999 s);
-      ]
-    in
-    Printf.sprintf ",\n  \"obs\": {\n    %s\n  }"
-      (String.concat ",\n    " fields)
+    let i k v = (k, int_num v) and f k v = (k, Json.Num v) in
+    [
+      ( "obs",
+        Json.Obj
+          [
+            i "futures_created" s.Obs.Metrics.futures_created;
+            i "futures_fulfilled" s.Obs.Metrics.futures_fulfilled;
+            i "futures_forced" s.Obs.Metrics.futures_forced;
+            i "futures_cancelled" s.Obs.Metrics.futures_cancelled;
+            i "futures_poisoned" s.Obs.Metrics.futures_poisoned;
+            i "futures_rejected" s.Obs.Metrics.futures_rejected;
+            i "pendingness_p50_ns" (Obs.Metrics.pendingness_p50 s);
+            i "pendingness_p99_ns" (Obs.Metrics.pendingness_p99 s);
+            i "pendingness_p999_ns" (Obs.Metrics.pendingness_p999 s);
+            i "force_p50_ns" (Obs.Metrics.force_p50 s);
+            i "force_p99_ns" (Obs.Metrics.force_p99 s);
+            i "force_p999_ns" (Obs.Metrics.force_p999 s);
+            i "transfer_p999_ns" (Obs.Metrics.transfer_p999 s);
+            i "splices" s.Obs.Metrics.splices;
+            i "splice_ops" s.Obs.Metrics.splice_ops;
+            f "mean_splice_batch" (Obs.Metrics.mean_splice_batch s);
+            i "elim_hits" s.Obs.Metrics.elim_hits;
+            i "elim_misses" s.Obs.Metrics.elim_misses;
+            f "elim_hit_rate" (Obs.Metrics.elim_hit_rate s);
+            i "elim_wait_p99_ns" (Obs.Metrics.elim_wait_p99 s);
+            i "elim_wait_p999_ns" (Obs.Metrics.elim_wait_p999 s);
+            i "combiner_acquires" s.Obs.Metrics.combiner_acquires;
+            i "combiner_takeovers" s.Obs.Metrics.combiner_takeovers;
+            i "combiner_retires" s.Obs.Metrics.combiner_retires;
+            i "backoff_exhausted" s.Obs.Metrics.backoff_exhausted;
+            i "workers_killed" s.Obs.Metrics.workers_killed;
+            i "workers_recovered" s.Obs.Metrics.workers_recovered;
+            i "workers_stalled" s.Obs.Metrics.workers_stalled;
+            i "shard_degraded_finds" s.Obs.Metrics.shard_degraded_finds;
+            i "service_admitted" s.Obs.Metrics.service_admitted;
+            i "service_shed" s.Obs.Metrics.service_shed;
+            i "service_degrades" s.Obs.Metrics.service_degrades;
+            i "service_p50_ns" (Obs.Metrics.service_p50 s);
+            i "service_p99_ns" (Obs.Metrics.service_p99 s);
+            i "service_p999_ns" (Obs.Metrics.service_p999 s);
+          ] );
+    ]
   end
 
 let write_json () =
   match !json_path with
   | None -> ()
   | Some path ->
-      let oc = open_out path in
-      Printf.fprintf oc
-        "{\n  \"generated_by\": \"bench/main.exe\",\n  \"git_rev\": \"%s\",\n\
-        \  \"records\": [\n    %s\n  ]%s\n}\n"
-        (json_escape (git_rev ()))
-        (String.concat ",\n    " (List.rev !json_records))
-        (obs_json_block ());
-      close_out oc;
+      let doc =
+        Json.Obj
+          ([
+             ("generated_by", Json.Str "bench/main.exe");
+             ("git_rev", Json.Str (git_rev ()));
+             ("records", Json.Arr (List.rev !json_records));
+           ]
+          @ obs_json_block ())
+      in
+      Out_channel.with_open_text path (fun oc ->
+          output_string oc (Json.to_string doc);
+          output_char oc '\n');
       Printf.eprintf "wrote %s (%d records)\n%!" path
         (List.length !json_records)
 
@@ -201,76 +184,6 @@ let quick_config =
 
 let full_config = { default_config with ops = 100_000; repeats = 10 }
 
-(* ------------------------- worker builders ------------------------- *)
-
-let stack_worker ?order ~slack inst ~thread ~ops =
-  let o = inst.R.s_handle () in
-  let rng = Workload.Rng.create ~seed:(0xBEEF + slack) ~stream:thread in
-  let sl = Fl.Slack.create ?order slack in
-  for _ = 1 to ops do
-    match Workload.Distribution.stack_op rng with
-    | Workload.Distribution.Push v ->
-        let f = o.R.s_push v in
-        Fl.Slack.note sl (fun () -> Future.force f)
-    | Workload.Distribution.Pop ->
-        let f = o.R.s_pop () in
-        Fl.Slack.note sl (fun () -> ignore (Future.force f))
-  done;
-  Fl.Slack.drain sl;
-  o.R.s_flush ()
-
-let queue_worker ?order ~slack inst ~thread ~ops =
-  let o = inst.R.q_handle () in
-  let rng = Workload.Rng.create ~seed:(0xF00D + slack) ~stream:thread in
-  let sl = Fl.Slack.create ?order slack in
-  for _ = 1 to ops do
-    match Workload.Distribution.queue_op rng with
-    | Workload.Distribution.Enq v ->
-        let f = o.R.q_enq v in
-        Fl.Slack.note sl (fun () -> Future.force f)
-    | Workload.Distribution.Deq ->
-        let f = o.R.q_deq () in
-        Fl.Slack.note sl (fun () -> ignore (Future.force f))
-  done;
-  Fl.Slack.drain sl;
-  o.R.q_flush ()
-
-let key_range = Workload.Distribution.default_key_range
-
-let prefill_set inst =
-  let o = inst.R.l_handle () in
-  (* Ascending insertion order gives every implementation the same node
-     layout; otherwise the combining implementations' bulk prefill would
-     hand them a cache-locality head start before measurement begins. *)
-  let keys =
-    List.sort compare
-      (Workload.Distribution.initial_keys ~key_range ~seed:2014 ())
-  in
-  let fs = List.map (fun k -> o.R.l_insert k) keys in
-  o.R.l_flush ();
-  inst.R.l_drain ();
-  List.iter (fun f -> ignore (Future.force f)) fs;
-  inst
-
-let set_worker ?order ~slack inst ~thread ~ops =
-  let o = inst.R.l_handle () in
-  let rng = Workload.Rng.create ~seed:(0xCAFE + slack) ~stream:thread in
-  let sl = Fl.Slack.create ?order slack in
-  for _ = 1 to ops do
-    match Workload.Distribution.list_op ~key_range rng with
-    | Workload.Distribution.Insert k ->
-        let f = o.R.l_insert k in
-        Fl.Slack.note sl (fun () -> ignore (Future.force f))
-    | Workload.Distribution.Remove k ->
-        let f = o.R.l_remove k in
-        Fl.Slack.note sl (fun () -> ignore (Future.force f))
-    | Workload.Distribution.Contains k ->
-        let f = o.R.l_contains k in
-        Fl.Slack.note sl (fun () -> ignore (Future.force f))
-  done;
-  Fl.Slack.drain sl;
-  o.R.l_flush ()
-
 (* --------------------------- panel runner --------------------------- *)
 
 type column = {
@@ -278,117 +191,93 @@ type column = {
   measure : slack:int -> threads:int -> Workload.Runner.measurement;
 }
 
-let stack_column ?order ?label cfg (impl : R.stack_impl) =
+(* Each mix draws its ops from its own base seed plus the slack, so a
+   panel's op sequences are fixed per (mix, slack, thread). *)
+let stack_seed = 0xBEEF
+let queue_seed = 0xF00D
+let set_seed = 0xCAFE
+
+let column cfg ~seed ?order (w : _ SL.t) =
   {
-    name = Option.value label ~default:impl.s_name;
+    name = w.SL.name;
     measure =
       (fun ~slack ~threads ->
-        Workload.Runner.run ~threads ~repeats:cfg.repeats
-          ~ops_per_thread:cfg.ops ~setup:impl.s_make
-          ~worker:(stack_worker ?order ~slack)
-          ~cas_total:(fun i -> i.R.s_cas_count ())
-          ~teardown:(fun i -> i.R.s_drain ())
-          ());
+        SL.measure ?order ~seed:(seed + slack) ~slack ~threads
+          ~repeats:cfg.repeats ~ops:cfg.ops w);
   }
 
-let queue_column ?order ?label cfg (impl : R.queue_impl) =
-  {
-    name = Option.value label ~default:impl.q_name;
-    measure =
-      (fun ~slack ~threads ->
-        Workload.Runner.run ~threads ~repeats:cfg.repeats
-          ~ops_per_thread:cfg.ops ~setup:impl.q_make
-          ~worker:(queue_worker ?order ~slack)
-          ~cas_total:(fun i -> i.R.q_cas_count ())
-          ~teardown:(fun i -> i.R.q_drain ())
-          ());
-  }
+let print_table table =
+  Workload.Report.print Format.std_formatter table;
+  Format.print_newline ()
 
-let set_column ?order ?label cfg (impl : R.set_impl) =
-  {
-    name = Option.value label ~default:impl.l_name;
-    measure =
-      (fun ~slack ~threads ->
-        Workload.Runner.run ~threads ~repeats:cfg.repeats
-          ~ops_per_thread:cfg.ops
-          ~setup:(fun () -> prefill_set (impl.l_make ()))
-          ~worker:(set_worker ?order ~slack)
-          ~cas_total:(fun i -> i.R.l_cas_count ())
-          ~teardown:(fun i -> i.R.l_drain ())
-          ());
-  }
-
-(* Run one panel (fixed slack): rows = thread counts, columns = impls.
-   Cells show completion time, with speedup vs the first (baseline)
-   column in parentheses. *)
-let run_panel ?bench cfg ~title columns ~slack =
-  let table =
-    Workload.Report.create ~title
-      ~columns:(List.map (fun c -> c.name) columns)
-  in
+(* Run one panel per slack in [cfg.slacks]: rows = thread counts,
+   columns = impls. Cells show completion time, with speedup vs the
+   first (baseline) column in parentheses. *)
+let run_panels ?bench cfg ~title columns =
   List.iter
-    (fun threads ->
-      let ms = List.map (fun c -> c.measure ~slack ~threads) columns in
-      (match bench with
-      | Some bench ->
-          List.iter2
-            (fun c m -> record_measurement ~bench ~impl:c.name ~slack m)
-            columns ms
-      | None -> ());
-      let baseline =
-        match ms with m :: _ -> m.Workload.Runner.seconds | [] -> nan
+    (fun slack ->
+      let table =
+        Workload.Report.create ~title:(title slack)
+          ~columns:(List.map (fun c -> c.name) columns)
       in
-      let cells =
-        List.mapi
-          (fun i m ->
-            let t = m.Workload.Runner.seconds in
-            if i = 0 then Workload.Report.seconds t
-            else
-              Printf.sprintf "%s (x%.2f)" (Workload.Report.seconds t)
-                (baseline /. t))
-          ms
-      in
-      Workload.Report.add_row table
-        ~label:(string_of_int threads)
-        ~cells)
-    cfg.threads;
-  let ppf = Format.std_formatter in
-  if cfg.csv then Workload.Report.csv ppf table
-  else Workload.Report.print ppf table;
-  Format.pp_print_newline ppf ()
+      List.iter
+        (fun threads ->
+          let ms = List.map (fun c -> c.measure ~slack ~threads) columns in
+          (match bench with
+          | Some bench ->
+              List.iter2
+                (fun c m -> record_measurement ~bench ~impl:c.name ~slack m)
+                columns ms
+          | None -> ());
+          let baseline =
+            match ms with m :: _ -> m.Workload.Runner.seconds | [] -> nan
+          in
+          let cells =
+            List.mapi
+              (fun i m ->
+                let t = m.Workload.Runner.seconds in
+                if i = 0 then Workload.Report.seconds t
+                else
+                  Printf.sprintf "%s (x%.2f)" (Workload.Report.seconds t)
+                    (baseline /. t))
+              ms
+          in
+          Workload.Report.add_row table ~label:(string_of_int threads) ~cells)
+        cfg.threads;
+      print_table table)
+    cfg.slacks
 
 let run_figure ?bench cfg ~figure ~what columns =
   Format.printf "== %s: %s — %d ops/thread, %d repeat(s) ==@.@." figure what
     cfg.ops cfg.repeats;
-  List.iter
-    (fun slack ->
-      run_panel ?bench cfg
-        ~title:(Printf.sprintf "%s, slack=%d (time; x = speedup vs lockfree)"
-                  figure slack)
-        columns ~slack)
-    cfg.slacks
+  run_panels ?bench cfg
+    ~title:
+      (Printf.sprintf "%s, slack=%d (time; x = speedup vs lockfree)" figure)
+    columns
 
 let fig4 cfg =
   run_figure ~bench:"fig4" cfg ~figure:"Figure 4"
     ~what:"stacks, 50% push / 50% pop"
-    (List.map (stack_column cfg) R.stack_impls)
+    (List.map (fun i -> column cfg ~seed:stack_seed (SL.stack i)) R.stack_impls)
 
 let fig5 cfg =
   run_figure ~bench:"fig5" cfg ~figure:"Figure 5"
     ~what:"queues, 50% enq / 50% deq"
-    (List.map (queue_column cfg) R.queue_impls)
+    (List.map (fun i -> column cfg ~seed:queue_seed (SL.queue i)) R.queue_impls)
+
+(* List operations cost a traversal of ~2500 nodes each; scale the op
+   count down so list panels complete in minutes on a small host. The
+   relative shape is unaffected (every implementation pays the same
+   scale). Use --ops to override. *)
+let list_config cfg = { cfg with ops = max 500 (cfg.ops / 10) }
 
 let fig6 cfg =
-  (* List operations cost a traversal of ~2500 nodes each; scale the op
-     count down so the figure completes in minutes on a small host. The
-     relative shape is unaffected (every implementation pays the same
-     scale). Use --ops to override. *)
-  let cfg = { cfg with ops = max 500 (cfg.ops / 10) } in
+  let cfg = list_config cfg in
   run_figure ~bench:"fig6" cfg ~figure:"Figure 6"
     ~what:
       "linked lists, 20% ins / 20% rem / 60% ctn, 10K keys, half full \
        (ops scaled /10)"
-    (List.map (set_column cfg) R.set_impls)
+    (List.map (fun i -> column cfg ~seed:set_seed (SL.set i)) R.set_impls)
 
 (* ----------------------------- ablations ---------------------------- *)
 
@@ -396,101 +285,72 @@ let ablation cfg =
   Format.printf "== Ablations (DESIGN.md A-D) — %d ops/thread ==@.@." cfg.ops;
   let cfg = { cfg with slacks = List.filter (fun s -> s > 1) cfg.slacks } in
   let cfg = if cfg.slacks = [] then { cfg with slacks = [ 20 ] } else cfg in
+  (* List ablations use the same /10 op scaling as Figure 6. Each panel's
+     baseline column is the default configuration. *)
+  let cfg_list = list_config cfg in
+  let stack = column cfg ~seed:stack_seed
+  and queue = column cfg ~seed:queue_seed
+  and set = column cfg_list ~seed:set_seed in
   (* A: weak stack elimination on/off *)
-  let stack_cols =
+  run_panels cfg
+    ~title:
+      (Printf.sprintf
+         "Ablation A: weak stack elimination (slack=%d; x<1 means disabling \
+          hurts)")
     [
-      stack_column cfg (R.find_stack "weak");
-      stack_column cfg
-        { s_name = "weak-noelim";
-          s_make = (fun () -> R.weak_stack_with ~elimination:false ());
-        };
-    ]
-  in
-  (* Reuse the panel runner: baseline column = elimination on. *)
-  List.iter
-    (fun slack ->
-      run_panel cfg
-        ~title:
-          (Printf.sprintf
-             "Ablation A: weak stack elimination (slack=%d; x<1 means \
-              disabling hurts)"
-             slack)
-        stack_cols ~slack)
-    cfg.slacks;
-  (* List ablations use the same /10 op scaling as Figure 6. *)
-  let cfg_list = { cfg with ops = max 500 (cfg.ops / 10) } in
+      stack (SL.stack (R.find_stack "weak"));
+      stack
+        (SL.stack
+           { s_name = "weak-noelim";
+             s_make = (fun () -> R.weak_stack_with ~elimination:false ());
+           });
+    ];
   (* B: medium list search-resume hint on/off *)
-  let list_cols_b =
+  run_panels cfg_list
+    ~title:(Printf.sprintf "Ablation B: medium list search resume (slack=%d)")
     [
-      set_column cfg_list (R.find_set "medium");
-      set_column cfg_list
-        { l_name = "medium-nohint";
-          l_make = (fun () -> R.medium_set_with ~resume_hint:false);
-        };
-    ]
-  in
-  List.iter
-    (fun slack ->
-      run_panel cfg_list
-        ~title:
-          (Printf.sprintf "Ablation B: medium list search resume (slack=%d)"
-             slack)
-        list_cols_b ~slack)
-    cfg_list.slacks;
+      set (SL.set (R.find_set "medium"));
+      set
+        (SL.set
+           { l_name = "medium-nohint";
+             l_make = (fun () -> R.medium_set_with ~resume_hint:false);
+           });
+    ];
   (* C: strong list batch sorting on/off *)
-  let list_cols_c =
+  run_panels cfg_list
+    ~title:(Printf.sprintf "Ablation C: strong list batch sort (slack=%d)")
     [
-      set_column cfg_list (R.find_set "strong");
-      set_column cfg_list
-        { l_name = "strong-nosort";
-          l_make = (fun () -> R.strong_set_with ~sort_batch:false);
-        };
-    ]
-  in
-  List.iter
-    (fun slack ->
-      run_panel cfg_list
-        ~title:
-          (Printf.sprintf "Ablation C: strong list batch sort (slack=%d)"
-             slack)
-        list_cols_c ~slack)
-    cfg_list.slacks;
+      set (SL.set (R.find_set "strong"));
+      set
+        (SL.set
+           { l_name = "strong-nosort";
+             l_make = (fun () -> R.strong_set_with ~sort_batch:false);
+           });
+    ];
   (* D: slack evaluation order. Forcing the newest future first lets one
      evaluation flush the whole window; oldest-first degrades every
      evaluation to a single operation (see Fl.Slack). Shown on the two
      structures whose evaluation stops at the forced future. *)
-  let queue_cols_d =
+  let medium_queue = SL.queue (R.find_queue "medium")
+  and medium_set = SL.set (R.find_set "medium") in
+  run_panels cfg
+    ~title:
+      (Printf.sprintf
+         "Ablation D: medium queue, slack evaluation order (slack=%d)")
     [
-      queue_column cfg (R.find_queue "medium");
-      queue_column cfg ~order:Fl.Slack.Oldest_first ~label:"medium-oldest"
-        (R.find_queue "medium");
-    ]
-  in
-  List.iter
-    (fun slack ->
-      run_panel cfg
-        ~title:
-          (Printf.sprintf
-             "Ablation D: medium queue, slack evaluation order (slack=%d)"
-             slack)
-        queue_cols_d ~slack)
-    cfg.slacks;
-  let list_cols_d =
+      queue medium_queue;
+      queue ~order:Fl.Slack.Oldest_first
+        { medium_queue with name = "medium-oldest" };
+    ];
+  run_panels cfg_list
+    ~title:
+      (Printf.sprintf
+         "Ablation D: medium list, slack evaluation order (slack=%d)")
     [
-      set_column cfg_list (R.find_set "medium");
-      set_column cfg_list ~order:Fl.Slack.Oldest_first ~label:"medium-oldest"
-        (R.find_set "medium");
+      set medium_set;
+      set ~order:Fl.Slack.Oldest_first
+        { medium_set with name = "medium-oldest" };
     ]
-  in
-  List.iter
-    (fun slack ->
-      run_panel cfg_list
-        ~title:
-          (Printf.sprintf
-             "Ablation D: medium list, slack evaluation order (slack=%d)"
-             slack)
-        list_cols_d ~slack)
-    cfg_list.slacks
 
 (* ------------------------- CAS correlation -------------------------- *)
 
@@ -501,7 +361,7 @@ let cas_experiment cfg =
   Format.printf
     "== CAS correlation: weak-FL queue (paper §5.2) — %d ops/thread ==@.@."
     cfg.ops;
-  let impl = R.find_queue "weak" in
+  let col = column cfg ~seed:queue_seed (SL.queue (R.find_queue "weak")) in
   List.iter
     (fun slack ->
       let table =
@@ -511,7 +371,7 @@ let cas_experiment cfg =
       in
       List.iter
         (fun threads ->
-          let m = (queue_column cfg impl).measure ~slack ~threads in
+          let m = col.measure ~slack ~threads in
           Workload.Report.add_row table
             ~label:(string_of_int threads)
             ~cells:
@@ -520,8 +380,7 @@ let cas_experiment cfg =
                 Printf.sprintf "%.2f" m.Workload.Runner.cas_per_op;
               ])
         cfg.threads;
-      Workload.Report.print Format.std_formatter table;
-      Format.print_newline ())
+      print_table table)
     cfg.slacks
 
 (* ------------------------ extension workloads ----------------------- *)
@@ -529,88 +388,24 @@ let cas_experiment cfg =
 (* Workloads beyond the paper's evaluation: Zipf-skewed keys (combining
    gets more same-key hits) and an asymmetric queue mix. *)
 
-let zipf_set_worker ~slack inst ~thread ~ops =
-  let o = inst.R.l_handle () in
-  let rng = Workload.Rng.create ~seed:(0xD00D + slack) ~stream:thread in
-  let z = Workload.Distribution.zipf ~n:key_range () in
-  let sl = Fl.Slack.create slack in
-  for _ = 1 to ops do
-    let note f = Fl.Slack.note sl (fun () -> ignore (Future.force f)) in
-    match Workload.Distribution.list_op_skewed z rng with
-    | Workload.Distribution.Insert k -> note (o.R.l_insert k)
-    | Workload.Distribution.Remove k -> note (o.R.l_remove k)
-    | Workload.Distribution.Contains k -> note (o.R.l_contains k)
-  done;
-  Fl.Slack.drain sl;
-  o.R.l_flush ()
-
-let zipf_set_column cfg (impl : R.set_impl) =
-  {
-    name = impl.l_name;
-    measure =
-      (fun ~slack ~threads ->
-        Workload.Runner.run ~threads ~repeats:cfg.repeats
-          ~ops_per_thread:cfg.ops
-          ~setup:(fun () -> prefill_set (impl.l_make ()))
-          ~worker:(zipf_set_worker ~slack)
-          ~cas_total:(fun i -> i.R.l_cas_count ())
-          ~teardown:(fun i -> i.R.l_drain ())
-          ());
-  }
-
-let asymmetric_queue_worker ~slack inst ~thread ~ops =
-  let o = inst.R.q_handle () in
-  let rng = Workload.Rng.create ~seed:(0xA5A5 + slack) ~stream:thread in
-  let sl = Fl.Slack.create slack in
-  for _ = 1 to ops do
-    (* 80% enqueue / 20% dequeue: long same-type runs, the best case for
-       run combining. *)
-    if Workload.Rng.below rng 5 < 4 then begin
-      let f = o.R.q_enq (Workload.Rng.below rng 1_000_000) in
-      Fl.Slack.note sl (fun () -> Future.force f)
-    end
-    else
-      let f = o.R.q_deq () in
-      Fl.Slack.note sl (fun () -> ignore (Future.force f))
-  done;
-  Fl.Slack.drain sl;
-  o.R.q_flush ()
-
-let asymmetric_queue_column cfg (impl : R.queue_impl) =
-  {
-    name = impl.q_name;
-    measure =
-      (fun ~slack ~threads ->
-        Workload.Runner.run ~threads ~repeats:cfg.repeats
-          ~ops_per_thread:cfg.ops ~setup:impl.q_make
-          ~worker:(asymmetric_queue_worker ~slack)
-          ~cas_total:(fun i -> i.R.q_cas_count ())
-          ~teardown:(fun i -> i.R.q_drain ())
-          ());
-  }
-
 let extra cfg =
-  let cfg_list = { cfg with ops = max 500 (cfg.ops / 10) } in
+  let cfg_list = list_config cfg in
   Format.printf
     "== Extension: Zipf-skewed linked lists (exponent 1.0) — %d ops/thread      ==@.@."
     cfg_list.ops;
-  List.iter
-    (fun slack ->
-      run_panel cfg_list
-        ~title:(Printf.sprintf "Zipf list, slack=%d" slack)
-        (List.map (zipf_set_column cfg_list) R.set_impls)
-        ~slack)
-    cfg_list.slacks;
+  run_panels cfg_list
+    ~title:(Printf.sprintf "Zipf list, slack=%d")
+    (List.map
+       (fun i -> column cfg_list ~seed:0xD00D (SL.zipf_set i))
+       R.set_impls);
   Format.printf
     "== Extension: asymmetric queue (80%% enq / 20%% deq) — %d ops/thread      ==@.@."
     cfg.ops;
-  List.iter
-    (fun slack ->
-      run_panel cfg
-        ~title:(Printf.sprintf "asymmetric queue, slack=%d" slack)
-        (List.map (asymmetric_queue_column cfg) R.queue_impls)
-        ~slack)
-    cfg.slacks
+  run_panels cfg
+    ~title:(Printf.sprintf "asymmetric queue, slack=%d")
+    (List.map
+       (fun i -> column cfg ~seed:0xA5A5 (SL.asymmetric_queue i))
+       R.queue_impls)
 
 (* --------------------------- micro (§5.1) --------------------------- *)
 
@@ -638,53 +433,36 @@ let micro_alloc () =
     record ~bench:"micro-alloc" ~impl:name ~slack:alloc_window ~domains:1
       [ ("minor_words_per_op", per_op) ]
   in
-  let weak_stack () =
-    let s = Fl.Weak_stack.create ~elimination:false () in
-    let h = Fl.Weak_stack.handle s in
-    measure "weak-stack push+flush" (fun () ->
-        for i = 1 to alloc_window do ignore (Fl.Weak_stack.push h i) done;
-        Fl.Weak_stack.flush h);
-    measure "weak-stack pop+flush" (fun () ->
-        for _ = 1 to alloc_window do ignore (Fl.Weak_stack.pop h) done;
-        Fl.Weak_stack.flush h)
-  in
-  let weak_queue () =
-    let q = Fl.Weak_queue.create () in
-    let h = Fl.Weak_queue.handle q in
-    measure "weak-queue enq+flush" (fun () ->
-        for i = 1 to alloc_window do ignore (Fl.Weak_queue.enqueue h i) done;
-        Fl.Weak_queue.flush h);
-    measure "weak-queue deq+flush" (fun () ->
-        for _ = 1 to alloc_window do ignore (Fl.Weak_queue.dequeue h) done;
-        Fl.Weak_queue.flush h)
-  in
-  let medium_stack () =
-    let s = Fl.Medium_stack.create () in
-    let h = Fl.Medium_stack.handle s in
-    measure "medium-stack push+flush" (fun () ->
-        for i = 1 to alloc_window do ignore (Fl.Medium_stack.push h i) done;
-        Fl.Medium_stack.flush h);
-    measure "medium-stack mixed+flush" (fun () ->
-        for i = 1 to alloc_window / 2 do
-          ignore (Fl.Medium_stack.push h i);
-          ignore (Fl.Medium_stack.pop h)
+  (* One window of [n] operations ([op i] for i = 1..n), then a flush. *)
+  let window ?(n = alloc_window) ~flush name op =
+    measure name (fun () ->
+        for i = 1 to n do
+          op i
         done;
-        Fl.Medium_stack.flush h)
+        flush ())
   in
-  let medium_queue () =
-    let q = Fl.Medium_queue.create () in
-    let h = Fl.Medium_queue.handle q in
-    measure "medium-queue enq+flush" (fun () ->
-        for i = 1 to alloc_window do ignore (Fl.Medium_queue.enqueue h i) done;
-        Fl.Medium_queue.flush h);
-    measure "medium-queue deq+flush" (fun () ->
-        for _ = 1 to alloc_window do ignore (Fl.Medium_queue.dequeue h) done;
-        Fl.Medium_queue.flush h)
-  in
-  weak_stack ();
-  weak_queue ();
-  medium_stack ();
-  medium_queue ();
+  (let module S = Fl.Weak_stack in
+   let h = S.handle (S.create ~elimination:false ()) in
+   let window = window ~flush:(fun () -> S.flush h) in
+   window "weak-stack push+flush" (fun i -> ignore (S.push h i));
+   window "weak-stack pop+flush" (fun _ -> ignore (S.pop h)));
+  (let module Q = Fl.Weak_queue in
+   let h = Q.handle (Q.create ()) in
+   let window = window ~flush:(fun () -> Q.flush h) in
+   window "weak-queue enq+flush" (fun i -> ignore (Q.enqueue h i));
+   window "weak-queue deq+flush" (fun _ -> ignore (Q.dequeue h)));
+  (let module S = Fl.Medium_stack in
+   let h = S.handle (S.create ()) in
+   let window = window ~flush:(fun () -> S.flush h) in
+   window "medium-stack push+flush" (fun i -> ignore (S.push h i));
+   window ~n:(alloc_window / 2) "medium-stack mixed+flush" (fun i ->
+       ignore (S.push h i);
+       ignore (S.pop h)));
+  (let module Q = Fl.Medium_queue in
+   let h = Q.handle (Q.create ()) in
+   let window = window ~flush:(fun () -> Q.flush h) in
+   window "medium-queue enq+flush" (fun i -> ignore (Q.enqueue h i));
+   window "medium-queue deq+flush" (fun _ -> ignore (Q.dequeue h)));
   Format.print_newline ()
 
 (* Measured cost of the enabled recorder: a single-domain window workload
@@ -823,12 +601,12 @@ let micro () =
            ignore (Future.force (o.R.q_deq ()))))
   in
   let set_test (impl : R.set_impl) =
-    let inst = prefill_set (impl.l_make ()) in
+    let inst = SL.prefill_set (impl.l_make ()) in
     let o = inst.R.l_handle () in
     let k = ref 0 in
     Test.make ~name:("list-" ^ impl.l_name)
       (Staged.stage (fun () ->
-           k := (!k + 7919) mod key_range;
+           k := (!k + 7919) mod Workload.Distribution.default_key_range;
            ignore (Future.force (o.R.l_contains !k))))
   in
   let tests =
@@ -901,7 +679,7 @@ let chaos_bench cfg =
       m.Workload.Runner.killed takeovers m.Workload.Runner.poisoned
       m.Workload.Runner.recovered
   in
-  let cell ~impl ~threads ~insts ~takeovers ~retired ~run_measure =
+  let cell ~impl ~threads ~stats ~run_measure =
     (* Seeded noise on every point, plus a scripted hard stall of the
        combiner every 1000th pass: 15 ms, comfortably past the ~6 ms a
        waiter needs to exhaust the default takeover budget of 64 backoff
@@ -914,54 +692,44 @@ let chaos_bench cfg =
       Fun.protect ~finally:Faults.clear_all (fun () ->
           run_measure ~chaos:(Workload.Runner.chaos ~seed ()))
     in
-    let sum f = List.fold_left (fun a i -> a + f i) 0 !insts in
-    emit ~impl ~threads ~takeovers:(sum takeovers) ~retired:(sum retired) m
+    let takeovers, retired = stats () in
+    emit ~impl ~threads ~takeovers ~retired m
   in
-  let stack_cell ~threads =
+  (* Flat-combining baselines: a 50/50 add/remove mix, one heartbeat per
+     op. *)
+  let fc_cell ~impl ~create ~handle ~op ~takeovers ~retired ~threads =
     let insts = ref [] in
     let setup () =
-      let s = Combining.Fc_stack.create () in
+      let s = create () in
       insts := s :: !insts;
       s
     in
     let worker s ~thread ~ops =
-      let h = Combining.Fc_stack.handle s in
+      let h = handle s in
       let rng = Workload.Rng.create ~seed:(0xC0A5 + seed) ~stream:thread in
       for _ = 1 to ops do
         Workload.Runner.heartbeat ();
-        if Workload.Rng.bool rng then Combining.Fc_stack.push h 1
-        else ignore (Combining.Fc_stack.pop h)
+        op h (Workload.Rng.bool rng)
       done
     in
-    cell ~impl:"fc-stack" ~threads ~insts
-      ~takeovers:Combining.Fc_stack.combiner_takeovers
-      ~retired:Combining.Fc_stack.retired_records
+    let sum f = List.fold_left (fun a i -> a + f i) 0 !insts in
+    cell ~impl ~threads
+      ~stats:(fun () -> (sum takeovers, sum retired))
       ~run_measure:(fun ~chaos ->
         Workload.Runner.run ~threads ~repeats:cfg.repeats
           ~ops_per_thread:cfg.ops ~setup ~worker ~chaos ~watchdog ())
   in
-  let queue_cell ~threads =
-    let insts = ref [] in
-    let setup () =
-      let q = Combining.Fc_queue.create () in
-      insts := q :: !insts;
-      q
-    in
-    let worker q ~thread ~ops =
-      let h = Combining.Fc_queue.handle q in
-      let rng = Workload.Rng.create ~seed:(0xC0A5 + seed) ~stream:thread in
-      for _ = 1 to ops do
-        Workload.Runner.heartbeat ();
-        if Workload.Rng.bool rng then Combining.Fc_queue.enqueue h 1
-        else ignore (Combining.Fc_queue.dequeue h)
-      done
-    in
-    cell ~impl:"fc-queue" ~threads ~insts
-      ~takeovers:Combining.Fc_queue.combiner_takeovers
-      ~retired:Combining.Fc_queue.retired_records
-      ~run_measure:(fun ~chaos ->
-        Workload.Runner.run ~threads ~repeats:cfg.repeats
-          ~ops_per_thread:cfg.ops ~setup ~worker ~chaos ~watchdog ())
+  let stack_cell =
+    let open Combining.Fc_stack in
+    fc_cell ~impl:"fc-stack" ~create ~handle
+      ~op:(fun h add -> if add then push h 1 else ignore (pop h))
+      ~takeovers:combiner_takeovers ~retired:retired_records
+  in
+  let queue_cell =
+    let open Combining.Fc_queue in
+    fc_cell ~impl:"fc-queue" ~create ~handle
+      ~op:(fun h add -> if add then enqueue h 1 else ignore (dequeue h))
+      ~takeovers:combiner_takeovers ~retired:retired_records
   in
   (* Weak-FL stack through the registry: the futures path. Each worker
      registers its handle's abandon hook, so when a kill strikes the
@@ -987,10 +755,8 @@ let chaos_bench cfg =
       done;
       o.R.s_flush ()
     in
-    let no_insts = ref [] in
-    cell ~impl:"weak-stack" ~threads ~insts:no_insts
-      ~takeovers:(fun (_ : unit) -> 0)
-      ~retired:(fun (_ : unit) -> 0)
+    cell ~impl:"weak-stack" ~threads
+      ~stats:(fun () -> (0, 0))
       ~run_measure:(fun ~chaos ->
         (* Modular, not absolute: hit counters are process-global, so an
            absolute index would only ever fire in the first cell. *)
@@ -1015,10 +781,7 @@ let chaos_bench cfg =
         ~cells:
           [ stack_cell ~threads; queue_cell ~threads; weak_cell ~threads ])
     cfg.threads;
-  let ppf = Format.std_formatter in
-  if cfg.csv then Workload.Report.csv ppf table
-  else Workload.Report.print ppf table;
-  Format.pp_print_newline ppf ()
+  print_table table
 
 (* ------------------------------ shard ------------------------------- *)
 
@@ -1031,6 +794,7 @@ end
 
 module Shard = Fl.Shard_map.Make (ShardKey)
 module BWM = Fl.Weak_map.Make (ShardKey)
+module BKV = Lockfree.Harris_kv.Make (ShardKey)
 
 let shard_key_range = 1024
 let shard_lease = 0.01
@@ -1064,6 +828,7 @@ let shard_bench cfg =
           if i mod 64 = 0 then BWM.flush h
         done;
         BWM.flush h)
+      ~cas_total:(fun m -> BKV.cas_count (BWM.shared m))
       ()
   in
   let insts : int Shard.t list ref = ref [] in
@@ -1173,10 +938,7 @@ let shard_bench cfg =
         ~cells:
           [ Workload.Report.seconds base; cell m2; cell m8 ])
     cfg.threads;
-  let ppf = Format.std_formatter in
-  if cfg.csv then Workload.Report.csv ppf table
-  else Workload.Report.print ppf table;
-  Format.pp_print_newline ppf ();
+  print_table table;
   (* Chaos panel: a scripted kill at each protocol step, installed as a
      Runner plan (and therefore uninstalled on every teardown path). The
      victim is whichever domain hits the point third; the run must
@@ -1210,60 +972,7 @@ let shard_bench cfg =
         ~cells:
           [ cellp "shard.grant"; cellp "shard.ship"; cellp "shard.ack" ])
     cfg.threads;
-  if cfg.csv then Workload.Report.csv ppf kill_table
-  else Workload.Report.print ppf kill_table;
-  Format.pp_print_newline ppf ()
-
-(* ------------------------------ fuzz -------------------------------- *)
-
-(* Conformance-fuzz smoke run: a short seeded campaign per target, the
-   same machinery `flbench fuzz` drives (and CI gates on). Reported per
-   target and recorded in the JSON sink; any counterexample is shrunk
-   and saved under results/fuzz/. *)
-let fuzz_bench cfg =
-  let seed = !chaos_seed in
-  let iters = max 2 cfg.repeats in
-  Format.printf
-    "== Fuzz: FL-conformance campaigns (seed %d, %d iters/target) ==@.@."
-    seed iters;
-  let failures = ref 0 in
-  List.iter
-    (fun (t : Fuzz.Exec.target) ->
-      let file =
-        Printf.sprintf "%d-%s.repro" seed
-          (String.map (function '/' -> '-' | c -> c) t.Fuzz.Exec.name)
-      in
-      let r = Fuzz.Driver.fuzz ~iters ~budget:30. ~file ~seed t in
-      record ~bench:"fuzz" ~impl:t.Fuzz.Exec.name ~slack:0
-        ~domains:Fuzz.Program.default_size.Fuzz.Program.threads
-        [
-          ("iters", float_of_int r.Fuzz.Driver.iters);
-          ("ops", float_of_int r.Fuzz.Driver.total_ops);
-          ("violations", float_of_int r.Fuzz.Driver.violations);
-          ("fsc_witnesses", float_of_int r.Fuzz.Driver.fsc_witnesses);
-        ];
-      match r.Fuzz.Driver.repro_path with
-      | None ->
-          Printf.printf "  %-16s [%-6s] %2d iters %5d ops  ok%s\n%!"
-            r.Fuzz.Driver.target
-            (Lin.Order.condition_name r.Fuzz.Driver.condition)
-            r.Fuzz.Driver.iters r.Fuzz.Driver.total_ops
-            (if r.Fuzz.Driver.fsc_witnesses > 0 then
-               Printf.sprintf "  (%d fig3 Fsc witnesses)"
-                 r.Fuzz.Driver.fsc_witnesses
-             else "")
-      | Some path ->
-          incr failures;
-          Printf.printf "  %-16s [%-6s] VIOLATION — shrunk repro: %s\n%!"
-            r.Fuzz.Driver.target
-            (Lin.Order.condition_name r.Fuzz.Driver.condition)
-            path)
-    Fuzz.Exec.targets;
-  if !failures > 0 then
-    Printf.printf "\n  %d target(s) FAILED — replay with flbench fuzz \
-                   --replay <repro>\n"
-      !failures;
-  print_newline ()
+  print_table kill_table
 
 (* ------------------------------ adapt ------------------------------- *)
 
@@ -1303,49 +1012,6 @@ let set_dial dials kind v =
 let ns_per_op (m : Workload.Runner.measurement) =
   1e9 /. m.Workload.Runner.throughput
 
-let adapt_queue_worker ~arrival ~slack ((inst, _) : R.queue_instance * _)
-    ~thread ~ops =
-  let o = inst.R.q_handle () in
-  let rng = Workload.Rng.create ~seed:0xADA7 ~stream:thread in
-  let sl = Fl.Slack.create slack in
-  let p = Workload.Arrival.pacer arrival in
-  for _ = 1 to ops do
-    Workload.Arrival.tick p;
-    match Workload.Distribution.queue_op rng with
-    | Workload.Distribution.Enq v ->
-        let f = o.R.q_enq v in
-        Fl.Slack.note sl (fun () -> Future.force f)
-    | Workload.Distribution.Deq ->
-        let f = o.R.q_deq () in
-        Fl.Slack.note sl (fun () -> ignore (Future.force f))
-  done;
-  Fl.Slack.drain sl;
-  o.R.q_flush ()
-
-let adapt_stack_worker ~arrival ~slack
-    ((inst, ctl) : R.stack_instance * Ctl.t option) ~thread ~ops =
-  let o = inst.R.s_handle () in
-  let rng = Workload.Rng.create ~seed:0xADA8 ~stream:thread in
-  let sl = Fl.Slack.create slack in
-  (* Adaptive column: each worker hands its own window to the live
-     controller (registration is concurrent-safe). *)
-  (match ctl with
-  | Some c -> Ctl.add_dial c (Tn.of_slack ~name:"bench.slack" sl)
-  | None -> ());
-  let p = Workload.Arrival.pacer arrival in
-  for _ = 1 to ops do
-    Workload.Arrival.tick p;
-    match Workload.Distribution.stack_op rng with
-    | Workload.Distribution.Push v ->
-        let f = o.R.s_push v in
-        Fl.Slack.note sl (fun () -> Future.force f)
-    | Workload.Distribution.Pop ->
-        let f = o.R.s_pop () in
-        Fl.Slack.note sl (fun () -> ignore (Future.force f))
-  done;
-  Fl.Slack.drain sl;
-  o.R.s_flush ()
-
 type adapt_col = {
   ac_name : string;
   ac_static : bool;
@@ -1359,83 +1025,68 @@ type adapt_col = {
          panel calls [ac_stop] when its table is done. *)
 }
 
-let no_stop () = ()
+let static_col ac_name ac_measure =
+  { ac_name; ac_static = true; ac_measure; ac_stop = ignore }
 
+(* The controller starts with the column and stops with its panel. *)
+let adaptive_col ac_name measure =
+  let c = Ctl.create ~epoch:adapt_epoch () in
+  Ctl.start c;
+  {
+    ac_name;
+    ac_static = false;
+    ac_measure = measure c;
+    ac_stop = (fun () -> Ctl.stop c);
+  }
+
+(* The flatcomb panel's cells, all through one slack-1 queue loop; [tune]
+   sets or registers each fresh instance's dials before the run. *)
 let flatcomb_cols cfg =
-  let impl = R.find_queue "flatcomb" in
+  let w = SL.queue (R.find_queue "flatcomb") in
+  let measure ~tune ~threads ~arrival =
+    SL.measure ~arrival ~seed:0xADA7 ~slack:1 ~threads ~repeats:1 ~ops:cfg.ops
+      {
+        w with
+        make =
+          (fun () ->
+            let inst = w.SL.make () in
+            tune (inst.R.q_dials ());
+            inst);
+      }
+  in
   let static budget =
-    {
-      ac_name =
-        (if budget = 1 then "budget=1 (default)"
-         else Printf.sprintf "budget=%d" budget);
-      ac_static = true;
-      ac_measure =
-        (fun ~threads ~arrival ->
-          Workload.Runner.run ~threads ~repeats:1 ~ops_per_thread:cfg.ops
-            ~setup:(fun () ->
-              let inst = impl.R.q_make () in
-              set_dial (inst.R.q_dials ()) Tn.Fc_pass_budget budget;
-              (inst, None))
-            ~worker:(adapt_queue_worker ~arrival ~slack:1)
-            ~cas_total:(fun (i, _) -> i.R.q_cas_count ())
-            ~teardown:(fun (i, _) -> i.R.q_drain ())
-            ());
-      ac_stop = no_stop;
-    }
+    static_col
+      (if budget = 1 then "budget=1 (default)"
+       else Printf.sprintf "budget=%d" budget)
+      (measure ~tune:(fun dials -> set_dial dials Tn.Fc_pass_budget budget))
   in
   let adaptive =
-    let c = Ctl.create ~epoch:adapt_epoch () in
-    Ctl.start c;
-    {
-      ac_name = "adaptive";
-      ac_static = false;
-      ac_measure =
-        (fun ~threads ~arrival ->
-          Workload.Runner.run ~threads ~repeats:1 ~ops_per_thread:cfg.ops
-            ~setup:(fun () ->
-              let inst = impl.R.q_make () in
-              Ctl.add_dials c (inst.R.q_dials ());
-              (inst, Some c))
-            ~worker:(adapt_queue_worker ~arrival ~slack:1)
-            ~cas_total:(fun (i, _) -> i.R.q_cas_count ())
-            ~teardown:(fun (i, _) -> i.R.q_drain ())
-            ());
-      ac_stop = (fun () -> Ctl.stop c);
-    }
+    adaptive_col "adaptive" (fun c -> measure ~tune:(Ctl.add_dials c))
   in
   List.map static [ 1; 4; 16 ] @ [ adaptive ]
 
 let slack_cols cfg =
-  let impl = R.find_stack "weak" in
+  let w = SL.stack (R.find_stack "weak") in
+  (* Adaptive column: each worker hands its own window to the live
+     controller (registration is concurrent-safe). *)
   let measure ~slack ~ctl ~threads ~arrival =
-    Workload.Runner.run ~threads ~repeats:1 ~ops_per_thread:cfg.ops
-      ~setup:(fun () -> (impl.R.s_make (), ctl))
-      ~worker:(adapt_stack_worker ~arrival ~slack)
-      ~cas_total:(fun (i, _) -> i.R.s_cas_count ())
-      ~teardown:(fun (i, _) -> i.R.s_drain ())
-      ()
+    SL.measure ~arrival
+      ?on_window:
+        (Option.map
+           (fun c sl -> Ctl.add_dial c (Tn.of_slack ~name:"bench.slack" sl))
+           ctl)
+      ~seed:0xADA8 ~slack ~threads ~repeats:1 ~ops:cfg.ops w
   in
   List.map
     (fun slack ->
-      {
-        ac_name = Printf.sprintf "slack=%d" slack;
-        ac_static = true;
-        ac_measure = measure ~slack ~ctl:None;
-        ac_stop = no_stop;
-      })
+      static_col (Printf.sprintf "slack=%d" slack) (measure ~slack ~ctl:None))
     [ 1; 10; 100 ]
   @ [
       (* Deliberately-wrong starting window: the controller has to find
          its way from 8 to wherever the statics' best sits (and, once
          found, warm-starts every later worker's fresh window there). *)
-      (let c = Ctl.create ~epoch:adapt_epoch () in
-       Ctl.start c;
-       {
-         ac_name = "adaptive (from 8)";
-         ac_static = false;
-         ac_measure = measure ~slack:8 ~ctl:(Some c);
-         ac_stop = (fun () -> Ctl.stop c);
-       });
+      adaptive_col "adaptive (from 8)" (fun c ->
+          measure ~slack:8 ~ctl:(Some c));
     ]
 
 let adapt_arrivals =
@@ -1574,10 +1225,7 @@ let run_adapt_panel cfg ~panel cols =
                  cols ms))
         cfg.threads)
     adapt_arrivals;
-  let ppf = Format.std_formatter in
-  if cfg.csv then Workload.Report.csv ppf table
-  else Workload.Report.print ppf table;
-  Format.pp_print_newline ppf ();
+  print_table table;
   (!default_total, !adaptive_total)
 
 let adapt cfg =
@@ -1675,6 +1323,19 @@ let service_overload =
     sojourn_budget_ns = 50_000_000;
   }
 
+(* A sweep cell's service: [workers] workers, [requests] each, under the
+   sweep's overload budgets. *)
+let service_config ~workers ~requests ~backend ~epoch_s process =
+  {
+    Svc.default_config with
+    Svc.workers;
+    requests_per_worker = requests;
+    process;
+    backend;
+    overload = service_overload;
+    epoch_s;
+  }
+
 let service_rates cfg =
   if cfg.ops <= 5_000 then [ 5_000.0; 50_000.0; 500_000.0 ]
   else [ 5_000.0; 25_000.0; 125_000.0; 625_000.0; 3_125_000.0 ]
@@ -1729,18 +1390,11 @@ let service_bench cfg =
     let cells =
       List.map
         (fun backend ->
+          (* 10 ms epochs: long enough that one lease transfer does not
+             dominate an epoch's percentile window. *)
           let cfg_svc =
-            {
-              Svc.default_config with
-              Svc.workers;
-              requests_per_worker = requests;
-              process = Workload.Arrival.Poisson { rate };
-              backend;
-              overload = service_overload;
-              (* 10 ms epochs: long enough that one lease transfer does
-                 not dominate an epoch's percentile window. *)
-              epoch_s = 0.01;
-            }
+            service_config ~workers ~requests ~backend ~epoch_s:0.01
+              (Workload.Arrival.Poisson { rate })
           in
           let r = Svc.run ~repeats:cfg.repeats cfg_svc in
           let impl =
@@ -1776,10 +1430,7 @@ let service_bench cfg =
       ~cells
   in
   List.iter sweep rates;
-  let ppf = Format.std_formatter in
-  if cfg.csv then Workload.Report.csv ppf table
-  else Workload.Report.print ppf table;
-  Format.pp_print_newline ppf ();
+  print_table table;
   (* Overload chaos: bursty arrivals past the knee, scripted kills at an
      admission decision, a bucket grant and the controller epoch.
      Conformance recording is suspended for the panel: a killed worker
@@ -1796,17 +1447,9 @@ let service_bench cfg =
     ]
   in
   let cfg_svc =
-    {
-      Svc.default_config with
-      Svc.workers;
-      requests_per_worker = requests;
-      process =
-        Workload.Arrival.Burst
-          { rate = 500_000.0; burst = max 2 (requests / 10) };
-      backend = Svc.Sharded;
-      overload = service_overload;
-      epoch_s = 0.002;
-    }
+    service_config ~workers ~requests ~backend:Svc.Sharded ~epoch_s:0.002
+      (Workload.Arrival.Burst
+         { rate = 500_000.0; burst = max 2 (requests / 10) })
   in
   let r = Svc.run ~plan ~watchdog:0.005 ~repeats:cfg.repeats cfg_svc in
   service_record ~impl:"sharded/chaos-burst" ~rate:500_000.0 ~workers cfg_svc
@@ -1894,15 +1537,8 @@ let conformance_bench cfg =
   let rates = service_rates cfg in
   let rate_top = List.nth rates (List.length rates - 1) in
   let cfg_svc =
-    {
-      Svc.default_config with
-      Svc.workers;
-      requests_per_worker = requests;
-      process = Workload.Arrival.Poisson { rate = rate_top };
-      backend = Svc.Sharded;
-      overload = service_overload;
-      epoch_s = 0.01;
-    }
+    service_config ~workers ~requests ~backend:Svc.Sharded ~epoch_s:0.01
+      (Workload.Arrival.Poisson { rate = rate_top })
   in
   let stride =
     match Obs.conformance_stride () with 0 -> 8 | n -> n
@@ -1951,9 +1587,9 @@ let parse_int_list s = List.map int_of_string (String.split_on_char ',' s)
 let usage () =
   prerr_endline
     "usage: main.exe \
-     [fig4|fig5|fig6|ablation|micro|cas|extra|shard|chaos|trace|fuzz|adapt|service|conformance|all]... \
+     [fig4|fig5|fig6|ablation|micro|cas|extra|shard|chaos|trace|adapt|service|conformance|all]... \
      [--quick|--full] [--ops N] [--repeats N] [--threads a,b,c] [--slacks \
-     a,b,c] [--seed N] [--csv] [--json PATH] [--obs] [--trace PATH] \
+     a,b,c] [--seed N] [--json PATH] [--obs] [--trace PATH] \
      [--conformance-stride N] [--assert-tolerance PCT] [--assert-beats] \
      [--assert-service]";
   exit 2
@@ -1964,7 +1600,6 @@ let () =
     | [] -> (cfg, cmds)
     | "--quick" :: rest -> parse quick_config cmds rest
     | "--full" :: rest -> parse full_config cmds rest
-    | "--csv" :: rest -> parse { cfg with csv = true } cmds rest
     | "--ops" :: n :: rest -> parse { cfg with ops = int_of_string n } cmds rest
     | "--repeats" :: n :: rest ->
         parse { cfg with repeats = int_of_string n } cmds rest
@@ -2007,7 +1642,7 @@ let () =
     | cmd :: rest
       when List.mem cmd
              [ "fig4"; "fig5"; "fig6"; "ablation"; "micro"; "cas"; "extra";
-               "shard"; "chaos"; "trace"; "fuzz"; "adapt"; "service";
+               "shard"; "chaos"; "trace"; "adapt"; "service";
                "conformance"; "all" ]
       ->
         parse cfg (cmd :: cmds) rest
@@ -2035,7 +1670,6 @@ let () =
     | "shard" -> shard_bench cfg
     | "chaos" -> chaos_bench cfg
     | "trace" -> trace_probe ()
-    | "fuzz" -> fuzz_bench cfg
     | "adapt" -> adapt cfg
     | "service" -> service_bench cfg
     | "conformance" -> conformance_bench cfg

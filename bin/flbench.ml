@@ -9,8 +9,8 @@
      flbench check --structure queue --impl medium --rounds 20
 *)
 
-module Future = Futures.Future
 module R = Fl.Registry
+module SL = Workload.Slack_loop
 open Cmdliner
 
 let structures = [ "stack"; "queue"; "list" ]
@@ -73,97 +73,16 @@ let slack_arg =
 let repeats_arg =
   Arg.(value & opt int 3 & info [ "r"; "repeats" ] ~docv:"N" ~doc:"Repeats.")
 
-let measure_stack impl ~threads ~ops ~slack ~repeats =
-  Workload.Runner.run ~threads ~repeats ~ops_per_thread:ops
-    ~setup:impl.R.s_make
-    ~worker:(fun inst ~thread ~ops ->
-      let o = inst.R.s_handle () in
-      let rng = Workload.Rng.create ~seed:1 ~stream:thread in
-      let sl = Fl.Slack.create slack in
-      for _ = 1 to ops do
-        match Workload.Distribution.stack_op rng with
-        | Workload.Distribution.Push v ->
-            let f = o.R.s_push v in
-            Fl.Slack.note sl (fun () -> Future.force f)
-        | Workload.Distribution.Pop ->
-            let f = o.R.s_pop () in
-            Fl.Slack.note sl (fun () -> ignore (Future.force f))
-      done;
-      Fl.Slack.drain sl;
-      o.R.s_flush ())
-    ~cas_total:(fun i -> i.R.s_cas_count ())
-    ~teardown:(fun i -> i.R.s_drain ())
-    ()
-
-let measure_queue impl ~threads ~ops ~slack ~repeats =
-  Workload.Runner.run ~threads ~repeats ~ops_per_thread:ops
-    ~setup:impl.R.q_make
-    ~worker:(fun inst ~thread ~ops ->
-      let o = inst.R.q_handle () in
-      let rng = Workload.Rng.create ~seed:1 ~stream:thread in
-      let sl = Fl.Slack.create slack in
-      for _ = 1 to ops do
-        match Workload.Distribution.queue_op rng with
-        | Workload.Distribution.Enq v ->
-            let f = o.R.q_enq v in
-            Fl.Slack.note sl (fun () -> Future.force f)
-        | Workload.Distribution.Deq ->
-            let f = o.R.q_deq () in
-            Fl.Slack.note sl (fun () -> ignore (Future.force f))
-      done;
-      Fl.Slack.drain sl;
-      o.R.q_flush ())
-    ~cas_total:(fun i -> i.R.q_cas_count ())
-    ~teardown:(fun i -> i.R.q_drain ())
-    ()
-
-let measure_list impl ~threads ~ops ~slack ~repeats =
-  let key_range = Workload.Distribution.default_key_range in
-  Workload.Runner.run ~threads ~repeats ~ops_per_thread:ops
-    ~setup:(fun () ->
-      let inst = impl.R.l_make () in
-      let o = inst.R.l_handle () in
-      (* Insert in ascending order so every implementation starts from the
-         same node layout; combining-based implementations would otherwise
-         get a cache-locality head start from their own bulk prefill. *)
-      let keys =
-        List.sort compare
-          (Workload.Distribution.initial_keys ~key_range ~seed:2014 ())
-      in
-      let fs = List.map (fun k -> o.R.l_insert k) keys in
-      o.R.l_flush ();
-      inst.R.l_drain ();
-      List.iter (fun f -> ignore (Future.force f)) fs;
-      inst)
-    ~worker:(fun inst ~thread ~ops ->
-      let o = inst.R.l_handle () in
-      let rng = Workload.Rng.create ~seed:1 ~stream:thread in
-      let sl = Fl.Slack.create slack in
-      for _ = 1 to ops do
-        let note f = Fl.Slack.note sl (fun () -> ignore (Future.force f)) in
-        match Workload.Distribution.list_op ~key_range rng with
-        | Workload.Distribution.Insert k -> note (o.R.l_insert k)
-        | Workload.Distribution.Remove k -> note (o.R.l_remove k)
-        | Workload.Distribution.Contains k -> note (o.R.l_contains k)
-      done;
-      Fl.Slack.drain sl;
-      o.R.l_flush ())
-    ~cas_total:(fun i -> i.R.l_cas_count ())
-    ~teardown:(fun i -> i.R.l_drain ())
-    ()
-
 let run_cmd =
   let doc = "Run one benchmark configuration and print the measurement." in
   let run structure impl threads ops slack repeats =
+    let measure w = SL.measure ~seed:1 ~slack ~threads ~repeats ~ops w in
     let m =
       try
         match structure with
-      | "stack" ->
-          measure_stack (R.find_stack impl) ~threads ~ops ~slack ~repeats
-      | "queue" ->
-          measure_queue (R.find_queue impl) ~threads ~ops ~slack ~repeats
-        | "list" ->
-            measure_list (R.find_set impl) ~threads ~ops ~slack ~repeats
+        | "stack" -> measure (SL.stack (R.find_stack impl))
+        | "queue" -> measure (SL.queue (R.find_queue impl))
+        | "list" -> measure (SL.set (R.find_set impl))
         | _ -> assert false
       with Not_found ->
         Printf.eprintf "error: %s has no %s implementation\n" structure impl;
@@ -325,17 +244,21 @@ let fuzz_cmd =
       Printf.eprintf "error: %s\n" msg;
       exit 2
     in
+    let attempt f x =
+      try f x with Invalid_argument msg | Sys_error msg -> die msg
+    in
     match replay with
     | Some path -> (
-        let repro =
-          try Fuzz.Repro.load path
-          with Invalid_argument msg | Sys_error msg -> die msg
+        let passed ops =
+          Printf.printf
+            "replay %s: PASSED — the recorded violation did not reproduce \
+             (%d ops)\n"
+            path ops;
+          exit 1
         in
+        let repro = attempt Fuzz.Repro.load path in
         if Fuzz.Mega.is_mega_name repro.Fuzz.Repro.target then begin
-          let _, out =
-            try Fuzz.Mega.replay path
-            with Invalid_argument msg | Sys_error msg -> die msg
-          in
+          let _, out = attempt Fuzz.Mega.replay path in
           match out.Fuzz.Mega.verdict with
           | Lin.Stream.Reject { index; reason } ->
               print_endline reason;
@@ -343,18 +266,10 @@ let fuzz_cmd =
                 "replay %s: streaming violation reproduced at event %d \
                  (%d ops)\n"
                 path index out.Fuzz.Mega.ops
-          | Lin.Stream.Accept ->
-              Printf.printf
-                "replay %s: PASSED — the recorded violation did not \
-                 reproduce (%d ops)\n"
-                path out.Fuzz.Mega.ops;
-              exit 1
+          | Lin.Stream.Accept -> passed out.Fuzz.Mega.ops
         end
         else
-          let r, out =
-            try Fuzz.Driver.replay path
-            with Invalid_argument msg | Sys_error msg -> die msg
-          in
+          let r, out = attempt Fuzz.Driver.replay path in
           match out.Fuzz.Exec.verdict with
           | Fuzz.Exec.Violation msg ->
               print_endline msg;
@@ -362,24 +277,13 @@ let fuzz_cmd =
                 "replay %s: violation of %s reproduced (%d ops)\n" path
                 (Lin.Order.condition_name r.Fuzz.Repro.condition)
                 out.Fuzz.Exec.ops
-          | Fuzz.Exec.Pass ->
-              Printf.printf
-                "replay %s: PASSED — the recorded violation did not \
-                 reproduce (%d ops)\n"
-                path out.Fuzz.Exec.ops;
-              exit 1)
+          | Fuzz.Exec.Pass -> passed out.Fuzz.Exec.ops)
     | None ->
         let names = if targets = [] then fuzz_target_names else targets in
         let mega_names, exec_names =
           List.partition Fuzz.Mega.is_mega_name names
         in
-        let ts =
-          List.map
-            (fun n ->
-              try Fuzz.Exec.find n
-              with Invalid_argument msg -> die msg)
-            exec_names
-        in
+        let ts = List.map (attempt Fuzz.Exec.find) exec_names in
         let size =
           let d = Fuzz.Program.default_size in
           Fuzz.Program.cap
@@ -391,19 +295,17 @@ let fuzz_cmd =
             }
         in
         let budget = if budget > 0. then budget else infinity in
-        let multi = List.length names > 1 in
+        (* One repro file per target when several run. *)
+        let file_for name =
+          if List.length names > 1 then
+            Some (Printf.sprintf "%d-%s.repro" seed (sanitize name))
+          else None
+        in
         let failed = ref false in
         List.iter
           (fun name ->
-            let t =
-              try Fuzz.Mega.target_of_string name
-              with Invalid_argument msg -> die msg
-            in
-            let file =
-              if multi then
-                Some (Printf.sprintf "%d-%s.repro" seed (sanitize name))
-              else None
-            in
+            let t = attempt Fuzz.Mega.target_of_string name in
+            let file = file_for name in
             let r =
               Fuzz.Mega.fuzz
                 ~threads:(if threads > 0 then threads else 3)
@@ -435,11 +337,7 @@ let fuzz_cmd =
           mega_names;
         List.iter
           (fun t ->
-            let file =
-              if multi then
-                Some (Printf.sprintf "%d-%s.repro" seed (sanitize t.Fuzz.Exec.name))
-              else None
-            in
+            let file = file_for t.Fuzz.Exec.name in
             let r =
               Fuzz.Driver.fuzz ~size ?condition ~iters ~budget ~out_dir:out
                 ?file ~seed t

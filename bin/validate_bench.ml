@@ -29,160 +29,10 @@
        invisible).
 
    Exits 0 with a summary on success, 1 with a diagnostic on the first
-   violation. The parser is hand-rolled: the repo deliberately has no
-   JSON dependency. *)
+   violation. Parsing goes through the repo's own [Json] module: the
+   repo deliberately has no JSON dependency. *)
 
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-exception Bad of string
-
-let parse (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Bad (Printf.sprintf "offset %d: %s" !pos msg)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %C" c)
-  in
-  let literal lit v =
-    let l = String.length lit in
-    if !pos + l <= n && String.sub s !pos l = lit then begin
-      pos := !pos + l;
-      v
-    end
-    else fail ("expected " ^ lit)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      let c = s.[!pos] in
-      advance ();
-      if c = '"' then Buffer.contents b
-      else if c = '\\' then begin
-        if !pos >= n then fail "unterminated escape";
-        let e = s.[!pos] in
-        advance ();
-        (match e with
-        | '"' -> Buffer.add_char b '"'
-        | '\\' -> Buffer.add_char b '\\'
-        | '/' -> Buffer.add_char b '/'
-        | 'b' -> Buffer.add_char b '\b'
-        | 'f' -> Buffer.add_char b '\012'
-        | 'n' -> Buffer.add_char b '\n'
-        | 'r' -> Buffer.add_char b '\r'
-        | 't' -> Buffer.add_char b '\t'
-        | 'u' -> (
-            if !pos + 4 > n then fail "truncated \\u escape";
-            let hex = String.sub s !pos 4 in
-            pos := !pos + 4;
-            match int_of_string_opt ("0x" ^ hex) with
-            | Some code when code < 128 -> Buffer.add_char b (Char.chr code)
-            | Some _ -> Buffer.add_char b '?'
-            | None -> fail "malformed \\u escape")
-        | _ -> fail "unknown escape");
-        go ()
-      end
-      else begin
-        Buffer.add_char b c;
-        go ()
-      end
-    in
-    go ()
-  in
-  let parse_number () =
-    let start = !pos in
-    let num_char c =
-      (c >= '0' && c <= '9')
-      || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-    in
-    while !pos < n && num_char s.[!pos] do
-      advance ()
-    done;
-    if !pos = start then fail "expected a value";
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "malformed number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ((k, v) :: acc)
-            | Some '}' ->
-                advance ();
-                Obj (List.rev ((k, v) :: acc))
-            | _ -> fail "expected ',' or '}'"
-          in
-          members []
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          Arr []
-        end
-        else begin
-          let rec items acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                items (v :: acc)
-            | Some ']' ->
-                advance ();
-                Arr (List.rev (v :: acc))
-            | _ -> fail "expected ',' or ']'"
-          in
-          items []
-        end
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> Num (parse_number ())
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing content after document";
-  v
+open Json
 
 let () =
   let file = ref None in
@@ -199,6 +49,11 @@ let () =
        [--service-knee RATE]";
     exit 2
   in
+  let positive r v =
+    match float_of_string_opt v with
+    | Some x when x > 0.0 -> r := Some x
+    | _ -> usage ()
+  in
   let rec parse_args = function
     | [] -> ()
     | "--min-records" :: v :: rest ->
@@ -207,22 +62,16 @@ let () =
         | _ -> usage ());
         parse_args rest
     | "--max-rel" :: v :: rest ->
-        (match float_of_string_opt v with
-        | Some x when x > 0.0 -> max_rel := Some x
-        | _ -> usage ());
+        positive max_rel v;
         parse_args rest
     | "--require-beats" :: rest ->
         require_beats := true;
         parse_args rest
     | "--service-p999-budget" :: v :: rest ->
-        (match float_of_string_opt v with
-        | Some x when x > 0.0 -> service_p999_budget := Some x
-        | _ -> usage ());
+        positive service_p999_budget v;
         parse_args rest
     | "--service-knee" :: v :: rest ->
-        (match float_of_string_opt v with
-        | Some x when x > 0.0 -> service_knee := Some x
-        | _ -> usage ());
+        positive service_knee v;
         parse_args rest
     | "--bench" :: b :: rest ->
         benches := b :: !benches;
@@ -305,10 +154,7 @@ let () =
             kv
       | _ -> ());
       if bench = "adapt" then begin
-        let ends_with suf =
-          let ls = String.length suf and li = String.length impl in
-          li >= ls && String.sub impl (li - ls) ls = suf
-        in
+        let ends_with suffix = String.ends_with ~suffix impl in
         if ends_with "/summary" then begin
           incr summaries;
           let best = num r "best_static_ns" and ad = num r "adaptive_ns" in

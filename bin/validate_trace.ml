@@ -39,163 +39,10 @@
    scanned but never certified.
 
    Exits 0 with a summary on success, 1 with a diagnostic on the first
-   violation. The JSON value parser is hand-rolled: the repo
-   deliberately has no JSON dependency. *)
+   violation. Each line is parsed with the repo's own [Json] module:
+   the repo deliberately has no JSON dependency. *)
 
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-exception Bad of string
-
-let parse (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Bad (Printf.sprintf "offset %d: %s" !pos msg)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %C" c)
-  in
-  let literal lit v =
-    let l = String.length lit in
-    if !pos + l <= n && String.sub s !pos l = lit then begin
-      pos := !pos + l;
-      v
-    end
-    else fail ("expected " ^ lit)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      let c = s.[!pos] in
-      advance ();
-      if c = '"' then Buffer.contents b
-      else if c = '\\' then begin
-        if !pos >= n then fail "unterminated escape";
-        let e = s.[!pos] in
-        advance ();
-        (match e with
-        | '"' -> Buffer.add_char b '"'
-        | '\\' -> Buffer.add_char b '\\'
-        | '/' -> Buffer.add_char b '/'
-        | 'b' -> Buffer.add_char b '\b'
-        | 'f' -> Buffer.add_char b '\012'
-        | 'n' -> Buffer.add_char b '\n'
-        | 'r' -> Buffer.add_char b '\r'
-        | 't' -> Buffer.add_char b '\t'
-        | 'u' -> (
-            if !pos + 4 > n then fail "truncated \\u escape";
-            let hex = String.sub s !pos 4 in
-            pos := !pos + 4;
-            match int_of_string_opt ("0x" ^ hex) with
-            | Some code when code < 128 -> Buffer.add_char b (Char.chr code)
-            | Some _ ->
-                (* Non-ASCII code point: validity, not the exact text,
-                   is what matters here. *)
-                Buffer.add_char b '?'
-            | None -> fail "malformed \\u escape")
-        | _ -> fail "unknown escape");
-        go ()
-      end
-      else begin
-        Buffer.add_char b c;
-        go ()
-      end
-    in
-    go ()
-  in
-  let parse_number () =
-    let start = !pos in
-    let num_char c =
-      (c >= '0' && c <= '9')
-      || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-    in
-    while !pos < n && num_char s.[!pos] do
-      advance ()
-    done;
-    if !pos = start then fail "expected a value";
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "malformed number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ((k, v) :: acc)
-            | Some '}' ->
-                advance ();
-                Obj (List.rev ((k, v) :: acc))
-            | _ -> fail "expected ',' or '}'"
-          in
-          members []
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          Arr []
-        end
-        else begin
-          let rec items acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                items (v :: acc)
-            | Some ']' ->
-                advance ();
-                Arr (List.rev (v :: acc))
-            | _ -> fail "expected ',' or ']'"
-          in
-          items []
-        end
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> Num (parse_number ())
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing content on the line";
-  v
+open Json
 
 (* ----------------------- conformance monitors ----------------------- *)
 
@@ -221,22 +68,21 @@ let () =
        [--allow-dropped]";
     exit 2
   in
+  let int_at_least lo r v =
+    match int_of_string_opt v with
+    | Some m when m >= lo -> r := m
+    | _ -> usage ()
+  in
   let rec parse_args = function
     | [] -> ()
     | "--min-domains" :: v :: rest ->
-        (match int_of_string_opt v with
-        | Some m -> min_domains := m
-        | None -> usage ());
+        int_at_least min_int min_domains v;
         parse_args rest
     | "--min-events" :: v :: rest ->
-        (match int_of_string_opt v with
-        | Some m when m >= 1 -> min_events := m
-        | _ -> usage ());
+        int_at_least 1 min_events v;
         parse_args rest
     | "--min-transfers" :: v :: rest ->
-        (match int_of_string_opt v with
-        | Some m when m >= 0 -> min_transfers := m
-        | _ -> usage ());
+        int_at_least 0 min_transfers v;
         parse_args rest
     | "--require" :: p :: rest ->
         required := p :: !required;
@@ -272,6 +118,10 @@ let () =
   in
   (* Skip blank lines (the exporter writes one before `]` when the
      trace is empty). *)
+  let strip_comma t =
+    if String.ends_with ~suffix:"," t then String.sub t 0 (String.length t - 1)
+    else t
+  in
   let rec next_content () =
     match next_line () with
     | None -> None
@@ -293,12 +143,7 @@ let () =
           (* A header field line: `"key": value,` — parsed as a
              one-entry object so malformed headers get a line-anchored
              diagnostic. *)
-          let t =
-            if String.length t > 0 && t.[String.length t - 1] = ',' then
-              String.sub t 0 (String.length t - 1)
-            else t
-          in
-          (match parse ("{" ^ t ^ "}") with
+          (match parse ("{" ^ strip_comma t ^ "}") with
           | Obj [ ("fldsDropped", Num d) ] when Float.rem d 1.0 = 0.0 ->
               dropped := int_of_float d
           | Obj [ (_, _) ] -> ()
@@ -433,7 +278,6 @@ let () =
     end;
     if
       !conformance
-      && (String.length name > 3 && String.sub name 0 3 = "op.")
       && (name = "op.enq" || name = "op.deq" || name = "op.deq.empty"
          || name = "op.push" || name = "op.pop" || name = "op.pop.empty")
     then handle_op idx name arg
@@ -452,12 +296,7 @@ let () =
         let t = String.trim l in
         if t = "]" then ()
         else begin
-          let t =
-            if String.length t > 0 && t.[String.length t - 1] = ',' then
-              String.sub t 0 (String.length t - 1)
-            else t
-          in
-          handle_event !n_events t;
+          handle_event !n_events (strip_comma t);
           incr n_events;
           events ()
         end

@@ -1,11 +1,11 @@
-(* The online controller: a background domain that, every [epoch]
-   seconds, diffs the global Obs.Metrics against the previous epoch's
-   snapshot, distills the diff into a Policy.observation, and runs each
-   registered dial's vote machine — setting the dial through its own
-   concurrent-safe setter when a move fires.
+(* The online controller: a policy on the shared epoch loop
+   (Epoch). Each epoch's Obs.Metrics diff is distilled into a
+   Policy.observation, and each registered dial's vote machine runs on
+   it — setting the dial through its own concurrent-safe setter when a
+   move fires.
 
    Failure semantics are deliberately one-sided: every knob setter
-   clamps, every epoch is wrapped so one bad dial cannot kill the loop,
+   clamps, every dial is wrapped so one bad dial cannot kill the loop,
    and a controller death (an injected Faults.Killed at "tune.epoch", or
    anything else) simply ends the loop — the structures keep running
    with the last-good configuration, because the knobs live in the
@@ -16,7 +16,6 @@ type target = { dial : Fl.Tunable.dial; votes : Policy.votes }
 
 type t = {
   cfg : Policy.config;
-  epoch : float;
   targets : target list Atomic.t; (* CAS-push; never removed *)
   (* Warm-start memory: the last value this controller set for each
      (kind, name) dial identity. A freshly-registered dial with a known
@@ -25,35 +24,23 @@ type t = {
      converged configuration instead of re-paying the search ramp. *)
   remembered : (Fl.Tunable.kind * string, int) Hashtbl.t;
   mem_lock : Mutex.t;
-  (* Epoch bookkeeping below is touched only by whoever calls [step] —
-     the controller domain once [start]ed, or a test driving epochs by
-     hand (never both). *)
-  mutable last : Obs.Metrics.snapshot;
-  epochs : int Atomic.t;
   decisions : int Atomic.t;
-  errors : int Atomic.t;
-  stop_flag : bool Atomic.t;
-  mutable domain : unit Domain.t option;
-  mutable obs_was_enabled : bool;
+  loop : Epoch.t;
 }
 
 let default_epoch = 0.005
 
 let create ?(cfg = Policy.default) ?(epoch = default_epoch) () =
-  if epoch <= 0.0 then invalid_arg "Controller.create: epoch must be > 0";
+  let loop =
+    Epoch.create ~owner:"Controller" ~point:"tune.epoch" ~period:epoch
+  in
   {
     cfg;
-    epoch;
     targets = Atomic.make [];
     remembered = Hashtbl.create 8;
     mem_lock = Mutex.create ();
-    last = Obs.Metrics.snapshot ();
-    epochs = Atomic.make 0;
     decisions = Atomic.make 0;
-    errors = Atomic.make 0;
-    stop_flag = Atomic.make false;
-    domain = None;
-    obs_was_enabled = true;
+    loop;
   }
 
 let remember t (dial : Fl.Tunable.dial) v =
@@ -77,21 +64,17 @@ let add_dial t dial =
   (* Warm start: a dial identity the controller has already steered jumps
      straight to the last value set for it (the setter clamps). *)
   match recall t dial with
-  | Some v -> ( try dial.set v with _ -> Atomic.incr t.errors)
+  | Some v -> ( try dial.set v with _ -> Epoch.error t.loop)
   | None -> ()
 
 let add_dials t dials = List.iter (add_dial t) dials
 let dial_count t = List.length (Atomic.get t.targets)
-let epochs t = Atomic.get t.epochs
+let epochs t = Epoch.epochs t.loop
 let decisions t = Atomic.get t.decisions
-let errors t = Atomic.get t.errors
+let errors t = Epoch.errors t.loop
 
-(* One control epoch. Public so tests (and the fuzzer's synthetic
-   schedules) can drive the loop without the background domain. *)
-let step t =
-  let now = Obs.Metrics.snapshot () in
-  let d = Obs.Metrics.diff now t.last in
-  t.last <- now;
+(* One control epoch's decisions over a metrics diff. *)
+let decide t d =
   let o = Policy.observe d in
   List.iter
     (fun tgt ->
@@ -103,39 +86,10 @@ let step t =
           remember t tgt.dial v;
           Atomic.incr t.decisions
       | None -> ()
-      | exception _ -> Atomic.incr t.errors)
-    (Atomic.get t.targets);
-  Atomic.incr t.epochs
+      | exception _ -> Epoch.error t.loop)
+    (Atomic.get t.targets)
 
-let running t = match t.domain with Some _ -> true | None -> false
-
-let start t =
-  if running t then invalid_arg "Controller.start: already running";
-  (* The controller is the telemetry's consumer: observing requires the
-     switch on. Remember the prior state so [stop] restores it. *)
-  t.obs_was_enabled <- Obs.enabled ();
-  if not t.obs_was_enabled then Obs.set_enabled true;
-  Atomic.set t.stop_flag false;
-  t.last <- Obs.Metrics.snapshot ();
-  t.domain <-
-    Some
-      (Domain.spawn (fun () ->
-           try
-             while not (Atomic.get t.stop_flag) do
-               (* Kill point: a Faults plan can murder the controller
-                  here. The exception ends this domain only — the
-                  last-good configuration stays in the structures. *)
-               Faults.point "tune.epoch";
-               step t;
-               Unix.sleepf t.epoch
-             done
-           with _ -> Atomic.incr t.errors))
-
-let stop t =
-  match t.domain with
-  | None -> ()
-  | Some d ->
-      Atomic.set t.stop_flag true;
-      Domain.join d;
-      t.domain <- None;
-      if not t.obs_was_enabled then Obs.set_enabled false
+let step t = Epoch.step t.loop (decide t)
+let start t = Epoch.start t.loop (decide t)
+let stop t = Epoch.stop t.loop
+let running t = Epoch.running t.loop

@@ -1,14 +1,15 @@
-(* The admission controller: a Tune-style epoch loop that walks the
-   Admit -> Squeeze -> Shed -> Degrade ladder on hot epochs and back,
-   with hysteresis, on calm ones. See overload.mli for the contract.
+(* The admission controller: a policy on the shared epoch loop
+   (Tune.Epoch) that walks the Admit -> Squeeze -> Shed -> Degrade
+   ladder on hot epochs and back, with hysteresis, on calm ones. See
+   overload.mli for the contract.
 
    Concurrency shape: [admit] is called from every worker on every
    arrival, so the decision reads two atomics (stage, shed percent) and
    draws a ticket from a striped-enough counter; all ladder bookkeeping
-   (streaks, last snapshot) is owned by whoever calls [step] — the
-   background domain once started, or a test driving epochs by hand —
-   never both. Stage transitions publish through the atomics, so
-   workers see them at their next arrival without fences. *)
+   (the calm streak) is owned by whoever calls [step] — the background
+   domain once started, or a test driving epochs by hand — never both.
+   Stage transitions publish through the atomics, so workers see them
+   at their next arrival without fences. *)
 
 type stage = Admit | Squeeze | Shed | Degrade
 
@@ -53,7 +54,6 @@ let default =
 
 type t = {
   cfg : config;
-  epoch : float;
   stage : int Atomic.t; (* stage_index, read by every admit *)
   shed_pct : int Atomic.t; (* percent of arrivals refused at >= Shed *)
   ticket : int Atomic.t; (* admission lottery counter *)
@@ -64,20 +64,16 @@ type t = {
   sheds : int Atomic.t;
   escalations : int Atomic.t;
   recoveries : int Atomic.t;
-  epochs : int Atomic.t;
-  errors : int Atomic.t;
-  (* Epoch bookkeeping below is owned by the [step] caller. *)
-  mutable last : Obs.Metrics.snapshot;
-  mutable calm_streak : int;
-  stop_flag : bool Atomic.t;
-  mutable domain : unit Domain.t option;
-  mutable obs_was_enabled : bool;
+  mutable calm_streak : int; (* owned by the [step] caller *)
+  loop : Tune.Epoch.t;
 }
 
 let default_epoch = 0.005
 
 let create ?(cfg = default) ?(epoch = default_epoch) () =
-  if epoch <= 0.0 then invalid_arg "Overload.create: epoch must be > 0";
+  let loop =
+    Tune.Epoch.create ~owner:"Overload" ~point:"service.epoch" ~period:epoch
+  in
   if cfg.min_ops < 0 then invalid_arg "Overload.create: min_ops < 0";
   if cfg.p99_budget_ns < 1 || cfg.pending_budget_ns < 1
      || cfg.sojourn_budget_ns < 1
@@ -92,7 +88,6 @@ let create ?(cfg = default) ?(epoch = default_epoch) () =
   then invalid_arg "Overload.create: shed percents must satisfy 0 <= floor <= ceiling <= 100";
   {
     cfg;
-    epoch;
     stage = Atomic.make 0;
     shed_pct = Atomic.make 0;
     ticket = Atomic.make 0;
@@ -101,13 +96,8 @@ let create ?(cfg = default) ?(epoch = default_epoch) () =
     sheds = Atomic.make 0;
     escalations = Atomic.make 0;
     recoveries = Atomic.make 0;
-    epochs = Atomic.make 0;
-    errors = Atomic.make 0;
-    last = Obs.Metrics.snapshot ();
     calm_streak = 0;
-    stop_flag = Atomic.make false;
-    domain = None;
-    obs_was_enabled = true;
+    loop;
   }
 
 let stage t = stage_of_index (Atomic.get t.stage)
@@ -117,21 +107,19 @@ let offered t = Atomic.get t.offered
 let sheds t = Atomic.get t.sheds
 let escalations t = Atomic.get t.escalations
 let recoveries t = Atomic.get t.recoveries
-let epochs t = Atomic.get t.epochs
-let errors t = Atomic.get t.errors
+let epochs t = Tune.Epoch.epochs t.loop
+let errors t = Tune.Epoch.errors t.loop
 
-let squeeze_slacks t =
-  List.iter
-    (fun (s, _) ->
-      try Fl.Slack.set_slack s t.cfg.squeeze_slack
-      with _ -> Atomic.incr t.errors)
-    (Atomic.get t.slacks)
-
-let restore_slacks t =
+(* Set every registered window to [bound orig]; a window whose setter
+   raises costs one error, not the others. *)
+let set_slacks t bound =
   List.iter
     (fun (s, orig) ->
-      try Fl.Slack.set_slack s orig with _ -> Atomic.incr t.errors)
+      try Fl.Slack.set_slack s (bound orig) with _ -> Tune.Epoch.error t.loop)
     (Atomic.get t.slacks)
+
+let squeeze_slacks t = set_slacks t (fun _ -> t.cfg.squeeze_slack)
+let restore_slacks t = set_slacks t Fun.id
 
 let register_slack t s =
   let entry = (s, Fl.Slack.slack s) in
@@ -143,7 +131,7 @@ let register_slack t s =
   (* A worker joining a squeezed service squeezes immediately. *)
   if Atomic.get t.stage >= 1 then
     try Fl.Slack.set_slack s t.cfg.squeeze_slack
-    with _ -> Atomic.incr t.errors
+    with _ -> Tune.Epoch.error t.loop
 
 (* Apply the actions of a transition old -> next (one rung either way)
    and publish it. Runs on the [step] caller only. *)
@@ -185,10 +173,8 @@ let de_escalate t =
   let cur = Atomic.get t.stage in
   if cur > 0 then transition t ~from:cur ~to_:(cur - 1)
 
-let step t =
-  let now = Obs.Metrics.snapshot () in
-  let d = Obs.Metrics.diff now t.last in
-  t.last <- now;
+(* One epoch's ladder move over a metrics diff. *)
+let observe t d =
   let o = Tune.Policy.observe d in
   let pend_p99 = Obs.Metrics.pendingness_p99 d in
   (* Sojourn is the open-loop signal: when the arrival generator falls
@@ -227,8 +213,9 @@ let step t =
       de_escalate t
     end
   end
-  else t.calm_streak <- 0;
-  Atomic.incr t.epochs
+  else t.calm_streak <- 0
+
+let step t = Tune.Epoch.step t.loop (observe t)
 
 let force_stage t s =
   let target = stage_index s in
@@ -267,33 +254,6 @@ let admit t =
     end
   end
 
-let running t = match t.domain with Some _ -> true | None -> false
-
-let start t =
-  if running t then invalid_arg "Overload.start: already running";
-  t.obs_was_enabled <- Obs.enabled ();
-  if not t.obs_was_enabled then Obs.set_enabled true;
-  Atomic.set t.stop_flag false;
-  t.last <- Obs.Metrics.snapshot ();
-  t.domain <-
-    Some
-      (Domain.spawn (fun () ->
-           try
-             while not (Atomic.get t.stop_flag) do
-               (* Kill point: chaos can murder the controller here; the
-                  last-good stage stays published in the atomics and the
-                  service keeps running without backpressure updates. *)
-               Faults.point "service.epoch";
-               step t;
-               Unix.sleepf t.epoch
-             done
-           with _ -> Atomic.incr t.errors))
-
-let stop t =
-  match t.domain with
-  | None -> ()
-  | Some d ->
-      Atomic.set t.stop_flag true;
-      Domain.join d;
-      t.domain <- None;
-      if not t.obs_was_enabled then Obs.set_enabled false
+let start t = Tune.Epoch.start t.loop (observe t)
+let stop t = Tune.Epoch.stop t.loop
+let running t = Tune.Epoch.running t.loop

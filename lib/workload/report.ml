@@ -17,12 +17,10 @@ let seconds s =
   else if s >= 1e-3 then Printf.sprintf "%.1fms" (s *. 1e3)
   else Printf.sprintf "%.0fus" (s *. 1e6)
 
-let all_rows t = List.rev t.rows
-
 let print ppf t =
   let header = "threads" :: t.columns in
   let body =
-    List.map (fun (label, cells) -> label :: cells) (all_rows t)
+    List.map (fun (label, cells) -> label :: cells) (List.rev t.rows)
   in
   let widths =
     List.mapi
@@ -41,11 +39,3 @@ let print ppf t =
   print_row header;
   print_row (List.map (fun w -> String.make w '-') widths);
   List.iter print_row body
-
-let csv ppf t =
-  Format.fprintf ppf "# %s@." t.title;
-  Format.fprintf ppf "threads,%s@." (String.concat "," t.columns);
-  List.iter
-    (fun (label, cells) ->
-      Format.fprintf ppf "%s,%s@." label (String.concat "," cells))
-    (all_rows t)

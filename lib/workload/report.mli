@@ -17,6 +17,3 @@ val seconds : float -> string
 
 val print : Format.formatter -> t -> unit
 (** Aligned columns, title first. *)
-
-val csv : Format.formatter -> t -> unit
-(** The same table as CSV (for external plotting). *)

@@ -124,17 +124,6 @@ let test_report_rendering () =
     (Invalid_argument "Report.add_row: cell count does not match columns")
     (fun () -> Workload.Report.add_row t ~label:"2" ~cells:[ "only one" ])
 
-let test_report_csv () =
-  let t = Workload.Report.create ~title:"t" ~columns:[ "a"; "b" ] in
-  Workload.Report.add_row t ~label:"1" ~cells:[ "x"; "y" ];
-  Workload.Report.add_row t ~label:"2" ~cells:[ "u"; "v" ];
-  let buf = Buffer.create 64 in
-  let ppf = Format.formatter_of_buffer buf in
-  Workload.Report.csv ppf t;
-  Format.pp_print_flush ppf ();
-  Alcotest.(check string) "csv shape" "# t\nthreads,a,b\n1,x,y\n2,u,v\n"
-    (Buffer.contents buf)
-
 let test_report_seconds () =
   Alcotest.(check string) "seconds" "1.50s" (Workload.Report.seconds 1.5);
   Alcotest.(check string) "millis" "12.0ms" (Workload.Report.seconds 0.012);
@@ -683,7 +672,6 @@ let () =
       ( "report",
         [
           Alcotest.test_case "rendering" `Quick test_report_rendering;
-          Alcotest.test_case "csv" `Quick test_report_csv;
           Alcotest.test_case "seconds formatting" `Quick test_report_seconds;
         ] );
       ( "runner",

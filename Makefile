@@ -24,8 +24,11 @@ bench-json:
 	mkdir -p results
 	dune exec bench/main.exe -- micro --obs --json results/BENCH_micro.json
 	dune exec bench/main.exe -- fig4 --quick --json results/BENCH_fig4.json
+	dune exec bench/main.exe -- fig6 --threads 1,2 --ops 20000 --repeats 3 \
+		--json results/BENCH_fig6.json
 	dune exec bin/validate_bench.exe -- results/BENCH_micro.json --bench micro
 	dune exec bin/validate_bench.exe -- results/BENCH_fig4.json --bench fig4
+	dune exec bin/validate_bench.exe -- results/BENCH_fig6.json --bench fig6
 
 # Machine-readable self-tuning run: the controller against hand-tuned
 # statics over (threads x steady/bursty) contention regimes. The

@@ -1,163 +1,23 @@
-module type KEY = sig
-  type t
-
-  val compare : t -> t -> int
-end
+module type KEY = Harris_kv.KEY
 
 module Make (K : KEY) = struct
-  (* A link both points to the next node and carries this node's deletion
-     mark ([Dead]). Marking freezes the link: a [Dead] link is never CASed
-     again, so chains out of deleted nodes always lead forward into the
-     live list. CAS compares links by physical equality. *)
-  type node = { key : K.t; next : link Atomic.t }
-  and link = Live of node option | Dead of node option
+  module M = Harris_kv.Make (K)
 
-  type t = {
-    head : link Atomic.t; (* always Live: the pseudo-node before the list *)
-    casc : Sync.Cas_counter.t;
-  }
+  type t = unit M.t
+  type position = unit M.position
 
-  type place = Root | At of node
-
-  type position = place
-
-  let create () =
-    { head = Sync.Padded.atomic (Live None); casc = Sync.Cas_counter.create () }
-
-  let head_position _t = Root
-
-  let cell t = function Root -> t.head | At n -> n.next
-
-  let target = function Live x | Dead x -> x
-
-  let same_node a b =
-    match (a, b) with
-    | None, None -> true
-    | Some x, Some y -> x == y
-    | None, Some _ | Some _, None -> false
-
-  let counted_cas t c expected desired =
-    Sync.Cas_counter.incr t.casc;
-    Atomic.compare_and_set c expected desired
-
-  let is_dead n = match Atomic.get n.next with Dead _ -> true | Live _ -> false
-
-  (* Find (left, left_link, right): [right] is the first node with
-     key >= k reachable from [start]; [left] is the last node before it
-     that was live when passed, and [left_link] is the Live link observed
-     at [left] whose target is exactly [right] (dead nodes in between have
-     been snipped). [right] was unmarked when checked. *)
-  let rec search t start k =
-    let restart () = search t Root k in
-    match Atomic.get (cell t start) with
-    | Dead _ -> restart () (* the start node itself was deleted *)
-    | Live first as start_link ->
-        let rec walk left left_link curr =
-          match curr with
-          | None -> finish left left_link None
-          | Some n -> (
-              match Atomic.get n.next with
-              | Dead succ -> walk left left_link succ (* skip marked node *)
-              | Live succ as lk ->
-                  if K.compare n.key k >= 0 then finish left left_link curr
-                  else walk (At n) lk succ)
-        and finish left left_link right =
-          let ok_link =
-            if same_node (target left_link) right then Some left_link
-            else begin
-              (* Physically unlink the marked nodes between left and right. *)
-              let fresh = Live right in
-              if counted_cas t (cell t left) left_link fresh then Some fresh
-              else None
-            end
-          in
-          match ok_link with
-          | None -> restart ()
-          | Some link -> (
-              (* Harris's re-check: right must still be unmarked, so the
-                 caller may decide presence/absence at this instant. *)
-              match right with
-              | Some r when is_dead r -> restart ()
-              | _ -> (left, link, right))
-        in
-        walk start start_link first
-
-  (* Positions handed back to callers: the node may die later; operations
-     re-validate. [start_of] falls back to Root when the position's node is
-     already marked (a stale position could hide newly inserted keys). *)
-  let start_of pos =
-    match pos with
-    | Root -> Root
-    | At n -> if is_dead n then Root else pos
-
-  let rec insert_loop t start k =
-    let left, left_link, right = search t start k in
-    match right with
-    | Some r when K.compare r.key k = 0 -> (false, left)
-    | _ ->
-        let n = { key = k; next = Atomic.make (Live right) } in
-        if counted_cas t (cell t left) left_link (Live (Some n)) then
-          (true, left)
-        else insert_loop t Root k
-
-  let rec remove_loop t start k =
-    let left, left_link, right = search t start k in
-    match right with
-    | Some r when K.compare r.key k = 0 -> (
-        match Atomic.get r.next with
-        | Dead _ ->
-            (* Concurrently deleted; search again so we either fail to find
-               the key or find a fresh live node with the same key. *)
-            remove_loop t Root k
-        | Live succ as lk ->
-            if counted_cas t r.next lk (Dead succ) then begin
-              (* Best-effort physical unlink; a failure leaves it to the
-                 next traversal. *)
-              ignore (counted_cas t (cell t left) left_link (Live succ));
-              (true, left)
-            end
-            else remove_loop t Root k)
-    | _ -> (false, left)
-
-  (* Wait-free read-only membership: walk skipping marked nodes, no CAS. *)
-  let contains_walk t start k =
-    let first =
-      match Atomic.get (cell t start) with Live x | Dead x -> x
-    in
-    let rec loop last_live curr =
-      match curr with
-      | None -> (false, last_live)
-      | Some n -> (
-          match Atomic.get n.next with
-          | Dead succ -> loop last_live succ
-          | Live succ ->
-              let c = K.compare n.key k in
-              if c < 0 then loop (At n) succ else ((c = 0), last_live))
-    in
-    loop start first
-
-  let insert t k = fst (insert_loop t Root k)
-  let remove t k = fst (remove_loop t Root k)
-  let contains t k = fst (contains_walk t Root k)
-
-  let insert_from t pos k = insert_loop t (start_of pos) k
-  let remove_from t pos k = remove_loop t (start_of pos) k
-  let contains_from t pos k = contains_walk t (start_of pos) k
-
-  let to_list t =
-    let rec loop acc curr =
-      match curr with
-      | None -> List.rev acc
-      | Some n -> (
-          match Atomic.get n.next with
-          | Dead succ -> loop acc succ
-          | Live succ -> loop (n.key :: acc) succ)
-    in
-    loop [] (target (Atomic.get t.head))
-
-  let is_empty t = to_list t = []
-  let length t = List.length (to_list t)
-
-  let cas_count t = Sync.Cas_counter.total t.casc
-  let reset_cas_count t = Sync.Cas_counter.reset t.casc
+  let create = M.create
+  let head_position = M.head_position
+  let found (r, pos) = (Option.is_some r, pos)
+  let insert t k = M.insert t k ()
+  let remove t k = Option.is_some (M.remove t k)
+  let contains t k = Option.is_some (M.find t k)
+  let insert_from t pos k = M.insert_from t pos k ()
+  let remove_from t pos k = found (M.remove_from t pos k)
+  let contains_from t pos k = found (M.find_from t pos k)
+  let is_empty = M.is_empty
+  let length = M.size
+  let to_list t = List.map fst (M.bindings t)
+  let cas_count = M.cas_count
+  let reset_cas_count = M.reset_cas_count
 end

@@ -1,26 +1,22 @@
 (** Harris's lock-free sorted linked list implementing a set
     (Harris, DISC 2001), with a position-resume extension.
 
-    Deletion is two-phase: a node is first logically deleted by {e marking}
-    its outgoing link, then physically unlinked by any traversal that
-    encounters it. OCaml cannot tag pointer bits, so a link is a boxed
-    variant ([Live]/[Dead]) compared by physical equality in CAS — the
-    standard encoding under a GC, which also provides safe memory
-    reclamation (no ABA).
+    This is the [unit]-valued view of {!Harris_kv}, the one Harris core:
+    the same one-block nodes (a live link {e is} the successor node, a
+    deleted node's link is a frozen [Dead succ]), the same field-0 CAS
+    and ABA argument, and the same search, so a traversal costs one load
+    per hop and allocates nothing per hop. See {!Harris_kv} for the
+    layout and why the field-0 cast is sound.
 
     The {e position} API supports the paper's medium- and weak-FL list
     optimization (§4.3): when successive operations use non-decreasing
     keys, the search can resume from where the previous operation was
     applied rather than from the head, so a whole sorted batch costs a
     single traversal. Positions never compromise safety: a stale position
-    (its node was deleted) still leads forward into the live list, and the
-    operations re-validate with CAS as usual. *)
+    (its node was deleted) falls back to the head, and the operations
+    re-validate with CAS as usual. *)
 
-module type KEY = sig
-  type t
-
-  val compare : t -> t -> int
-end
+module type KEY = Harris_kv.KEY
 
 module Make (K : KEY) : sig
   type t

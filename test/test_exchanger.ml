@@ -4,6 +4,19 @@
 
 module E = Lockfree.Exchanger
 
+(* Wait for another domain's parked give by polling with [try_take],
+   which never parks: a parking [take] would make the giver's single
+   probe race the take's own timeout, and a giver that loses that race
+   returns without parking, leaving nothing to take. *)
+let rec try_take_until x n =
+  if n = 0 then None
+  else
+    match E.try_take x with
+    | Some _ as r -> r
+    | None ->
+        Domain.cpu_relax ();
+        try_take_until x (n - 1)
+
 let test_create () =
   let x : int E.t = E.create ~capacity:4 () in
   Alcotest.(check int) "capacity" 4 (E.capacity x);
@@ -34,14 +47,7 @@ let test_parked_give_fed_by_take () =
         (* Generous patience: the other domain will arrive. *)
         E.give ~patience:1_000_000 x 42)
   in
-  let rec take_until n =
-    if n = 0 then None
-    else
-      match E.take ~patience:10 x with
-      | Some _ as r -> r
-      | None -> take_until (n - 1)
-  in
-  let got = take_until 1_000_000 in
+  let got = try_take_until x 10_000_000 in
   Alcotest.(check bool) "give handed off" true (Domain.join d);
   Alcotest.(check (option int)) "take fed" (Some 42) got;
   Alcotest.(check int) "one exchange" 1 (E.exchanged x);
@@ -49,7 +55,17 @@ let test_parked_give_fed_by_take () =
 
 let test_parked_take_fed_by_try_give () =
   let x : int E.t = E.create ~capacity:1 () in
-  let d = Domain.spawn (fun () -> E.take ~patience:1_000_000 x) in
+  let d =
+    Domain.spawn (fun () ->
+        (* Re-park on timeout (boundedly), so a feeder that is scheduled
+           late still finds a taker to poll for. *)
+        let rec park n =
+          match E.take ~patience:1_000_000 x with
+          | None when n > 0 -> park (n - 1)
+          | r -> r
+        in
+        park 100)
+  in
   (* Wait for the taker to park, as a producer polling takers_waiting. *)
   while not (E.takers_waiting x) do
     Domain.cpu_relax ()
@@ -175,15 +191,8 @@ let test_timeout_counts_as_cancel () =
   Alcotest.(check int) "take withdrawal counted" 2 (E.cancelled x);
   (* Withdrawn cleanly: the slot is free for a live pair. *)
   let d = Domain.spawn (fun () -> E.give ~patience:1_000_000 x 9) in
-  let rec take_until n =
-    if n = 0 then None
-    else
-      match E.take ~patience:10 x with
-      | Some _ as r -> r
-      | None -> take_until (n - 1)
-  in
   Alcotest.(check (option int)) "slot still pairs" (Some 9)
-    (take_until 1_000_000);
+    (try_take_until x 10_000_000);
   Alcotest.(check bool) "give handed off" true (Domain.join d)
 
 (* A giver killed while parked (injected [Faults.Killed] in the park
@@ -210,15 +219,8 @@ let test_kill_while_parked_withdraws () =
   Alcotest.(check int) "nothing exchanged" 0 (E.exchanged x);
   (* The dead partner left no residue: a live pair still meets. *)
   let d = Domain.spawn (fun () -> E.give ~patience:1_000_000 x 21) in
-  let rec take_until n =
-    if n = 0 then None
-    else
-      match E.take ~patience:10 x with
-      | Some _ as r -> r
-      | None -> take_until (n - 1)
-  in
   Alcotest.(check (option int)) "live pair unaffected" (Some 21)
-    (take_until 1_000_000);
+    (try_take_until x 10_000_000);
   Alcotest.(check bool) "live give handed off" true (Domain.join d)
 
 (* Storm of impatient offers: cancellation and reclamation race claims

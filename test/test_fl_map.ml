@@ -115,6 +115,60 @@ let test_kv_parallel_disjoint () =
       finals.(i) mine
   done
 
+(* Same keys under full contention, through positions as the FL maps use
+   them: for every key, successful inserts and removes alternate, so
+   their difference is exactly the final presence; and every value a
+   remove or find returns was bound to that key (values encode their
+   key in their low bits). *)
+let test_kv_parallel_same_keys () =
+  let m = KV.create () in
+  let domains = 2 and keys = 4 and ops = 50_000 in
+  let inserts = Array.init domains (fun _ -> Array.make keys 0) in
+  let removes = Array.init domains (fun _ -> Array.make keys 0) in
+  let worker i () =
+    let rng = Workload.Rng.create ~seed:41 ~stream:i in
+    let pos = ref (KV.head_position m) and last = ref (-1) in
+    for n = 1 to ops do
+      let k = Workload.Rng.below rng keys in
+      let start = if k >= !last then !pos else KV.head_position m in
+      let check_key = function
+        | Some v -> assert (v land 3 = k)
+        | None -> ()
+      in
+      let pos' =
+        match Workload.Rng.below rng 3 with
+        | 0 ->
+            let created, p = KV.insert_from m start k ((n lsl 2) lor k) in
+            if created then inserts.(i).(k) <- inserts.(i).(k) + 1;
+            p
+        | 1 ->
+            let r, p = KV.remove_from m start k in
+            check_key r;
+            if Option.is_some r then removes.(i).(k) <- removes.(i).(k) + 1;
+            p
+        | _ ->
+            let r, p = KV.find_from m start k in
+            check_key r;
+            p
+      in
+      pos := pos';
+      last := k
+    done
+  in
+  let ds = List.init domains (fun i -> Domain.spawn (worker i)) in
+  List.iter Domain.join ds;
+  let all = KV.bindings m in
+  for k = 0 to keys - 1 do
+    let ins = Array.fold_left (fun a per -> a + per.(k)) 0 inserts in
+    let rem = Array.fold_left (fun a per -> a + per.(k)) 0 removes in
+    Alcotest.(check int)
+      (Printf.sprintf "key %d balance" k)
+      (if List.mem_assoc k all then 1 else 0)
+      (ins - rem)
+  done;
+  Alcotest.(check bool) "values match keys" true
+    (List.for_all (fun (k, v) -> v land 3 = k) all)
+
 (* ----------------------------- Weak_map ----------------------------- *)
 
 let test_map_basic () =
@@ -415,6 +469,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_kv_model;
           Alcotest.test_case "disjoint ranges (4 domains)" `Slow
             test_kv_parallel_disjoint;
+          Alcotest.test_case "same keys 0..3 (2 domains)" `Slow
+            test_kv_parallel_same_keys;
         ] );
       ( "weak-map",
         [

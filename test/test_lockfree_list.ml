@@ -1,11 +1,15 @@
 (* Tests for the Harris lock-free list: set semantics, the position-resume
-   API, and multi-domain stress with invariant checks. *)
+   API, per-call allocation of traversals, and multi-domain stress with
+   invariant checks. *)
 
-module H = Lockfree.Harris_list.Make (struct
+module Int_key = struct
   type t = int
 
   let compare = Int.compare
-end)
+end
+
+module H = Lockfree.Harris_list.Make (Int_key)
+module KV = Lockfree.Harris_kv.Make (Int_key)
 
 let test_set_semantics () =
   let l = H.create () in
@@ -70,6 +74,81 @@ let test_stale_position_falls_back () =
   ignore (H.insert l 20);
   let present, _ = H.contains_from l pos 20 in
   Alcotest.(check bool) "sees re-inserted key" true present
+
+(* A position's link goes m -> x -> m (insert x, then remove it) before
+   the position is used again. CAS compares node pointers, so the old
+   successor m is a valid expected value again, and operations through
+   the position must see exactly the live list. Covers the head cell and
+   an interior node's cell. *)
+let test_position_aba () =
+  let l = H.create () in
+  List.iter (fun k -> ignore (H.insert l k)) [ 10; 30 ];
+  let head = H.head_position l in
+  let _, pos = H.contains_from l head 30 in
+  (* pos is 10's cell; its link is the node of 30. *)
+  Alcotest.(check bool) "insert x = 20" true (H.insert l 20);
+  Alcotest.(check bool) "remove x = 20" true (H.remove l 20);
+  let r1, pos = H.insert_from l pos 25 in
+  Alcotest.(check bool) "insert 25 through pos" true r1;
+  Alcotest.(check bool) "insert x = 27" true (H.insert l 27);
+  Alcotest.(check bool) "remove x = 27" true (H.remove l 27);
+  let r2, _ = H.remove_from l pos 30 in
+  Alcotest.(check bool) "remove 30 through pos" true r2;
+  (* The head's link goes 10 -> 5 -> 10. *)
+  Alcotest.(check bool) "insert x = 5" true (H.insert l 5);
+  Alcotest.(check bool) "remove x = 5" true (H.remove l 5);
+  let r3, _ = H.insert_from l head 7 in
+  Alcotest.(check bool) "insert 7 through head" true r3;
+  Alcotest.(check bool) "insert x = 8" true (H.insert l 8);
+  Alcotest.(check bool) "remove x = 8" true (H.remove l 8);
+  let r4, _ = H.remove_from l head 7 in
+  Alcotest.(check bool) "remove 7 through head" true r4;
+  Alcotest.(check (list int)) "final" [ 10; 25 ] (H.to_list l)
+
+(* Minor words one call allocates, averaged over many calls. *)
+let words_per_call f =
+  for _ = 1 to 10 do
+    f ()
+  done;
+  let calls = 1_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int calls
+
+(* A traversal allocates nothing per hop: a lookup of the last key (and
+   of a key past it) costs the same small constant on a 10-node list as
+   on a 1,000-node one, for the set and for the map. *)
+let test_traversal_allocation () =
+  let measure n =
+    let l = H.create () and m = KV.create () in
+    for k = 0 to n - 1 do
+      ignore (H.insert l (2 * k));
+      ignore (KV.insert m (2 * k) k)
+    done;
+    let last = 2 * (n - 1) in
+    let lookups f () =
+      ignore (Sys.opaque_identity (f last));
+      ignore (Sys.opaque_identity (f (last + 1)))
+    in
+    [
+      ("contains", words_per_call (lookups (H.contains l)));
+      ( "contains_from",
+        words_per_call (lookups (H.contains_from l (H.head_position l))) );
+      ("find_from", words_per_call (lookups (KV.find_from m (KV.head_position m))));
+    ]
+  in
+  List.iter2
+    (fun (name, small) (_, large) ->
+      Alcotest.(check (float 0.01))
+        (Printf.sprintf "%s: 1,000 nodes allocate like 10 nodes" name)
+        small large;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.1f words per two lookups within budget" name
+           large)
+        true (large <= 24.0))
+    (measure 10) (measure 1_000)
 
 let test_boundary_keys () =
   let l = H.create () in
@@ -277,7 +356,10 @@ let () =
             test_position_same_key_twice;
           Alcotest.test_case "stale position fallback" `Quick
             test_stale_position_falls_back;
+          Alcotest.test_case "position link ABA" `Quick test_position_aba;
           Alcotest.test_case "boundary keys" `Quick test_boundary_keys;
+          Alcotest.test_case "traversal allocation budget" `Quick
+            test_traversal_allocation;
           QCheck_alcotest.to_alcotest prop_model;
           QCheck_alcotest.to_alcotest prop_positions_equal_plain;
         ] );

@@ -410,11 +410,11 @@ let extra cfg =
 (* --------------------------- micro (§5.1) --------------------------- *)
 
 (* Minor-allocation probe: words allocated per operation on the
-   weak/medium stack & queue flush paths — a window of [alloc_window]
-   pending operations, then one flush. This is the metric the
-   ring-buffer pending windows target: the per-op cost must cover only
-   the future and the spliced shared-structure node, not any transient
-   window bookkeeping. *)
+   weak/medium stack & queue flush paths and the list and map lookup
+   windows — a window of [alloc_window] pending operations, then one
+   flush. This is the metric the ring-buffer pending windows target: the
+   per-op cost must cover only the future and the spliced
+   shared-structure node, not any transient window bookkeeping. *)
 let alloc_window = 64
 let alloc_iters = 2_000
 
@@ -463,6 +463,29 @@ let micro_alloc () =
    let window = window ~flush:(fun () -> Q.flush h) in
    window "medium-queue enq+flush" (fun i -> ignore (Q.enqueue h i));
    window "medium-queue deq+flush" (fun _ -> ignore (Q.dequeue h)));
+  (* Lookups of keys 1..64 on empty sets and maps: the window and its
+     sorted or in-order apply, not the traversal. *)
+  let module K = struct
+    type t = int
+
+    let compare = Int.compare
+  end in
+  (let module L = Fl.Weak_list.Make (K) in
+   let h = L.handle (L.create ()) in
+   window ~flush:(fun () -> L.flush h) "weak-list contains+flush" (fun i ->
+       ignore (L.contains h i)));
+  (let module L = Fl.Medium_list.Make (K) in
+   let h = L.handle (L.create ()) in
+   window ~flush:(fun () -> L.flush h) "medium-list contains+flush" (fun i ->
+       ignore (L.contains h i)));
+  (let module L = Fl.Txn_list.Make (K) in
+   let h = L.handle (L.create ()) in
+   window ~flush:(fun () -> L.flush h) "txn-list contains+flush" (fun i ->
+       ignore (L.contains h i)));
+  (let module M = Fl.Weak_map.Make (K) in
+   let h = M.handle (M.create ()) in
+   window ~flush:(fun () -> M.flush h) "weak-map find+flush" (fun i ->
+       ignore (M.find h i)));
   Format.print_newline ()
 
 (* Measured cost of the enabled recorder: a single-domain window workload

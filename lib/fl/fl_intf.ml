@@ -9,10 +9,11 @@
     state is the shared pending queue.)
 
     [abandon] is the recovery hook: called (by any thread) when the
-    handle's owner is known to be dead, it detaches the pending windows
-    and poisons every un-applied future with [Future.Orphaned], returning
-    how many were poisoned, so waiters raise [Broken] instead of spinning
-    on an op that will never be applied. *)
+    handle's owner is known to be dead, it poisons every un-applied
+    future with [Future.Orphaned] and empties the pending windows
+    ({!Window.abandon}), returning how many were poisoned, so waiters
+    raise [Broken] instead of spinning on an op that will never be
+    applied. *)
 
 module type HANDLE_STACK = sig
   type 'a t

@@ -4,17 +4,24 @@ type 'a op = Enq of 'a * unit Future.t | Deq of 'a option Future.t
 
 type 'a t = { queue : 'a Lockfree.Ms_queue.t }
 
-type 'a handle = {
-  owner : 'a t;
-  ops : 'a op Opbuf.t; (* oldest first *)
-}
+type 'a handle = { owner : 'a t; ops : ('a op, unit) Window.t }
 
 let create () = { queue = Lockfree.Ms_queue.create () }
 let shared t = t.queue
 
-let handle owner = { owner; ops = Opbuf.create () }
+let handle owner =
+  {
+    owner;
+    ops =
+      Window.create
+        ~pending:(function
+          | Enq (_, f) -> Future.is_pending f | Deq f -> Future.is_pending f)
+        ~poison:(function
+          | Enq (_, f) -> Window.orphan f | Deq f -> Window.orphan f)
+        ();
+  }
 
-let pending_count h = Opbuf.length h.ops
+let pending_count h = Window.length h.ops
 
 let same_kind a b =
   match (a, b) with
@@ -25,56 +32,41 @@ let enq_value = function Enq (x, _) -> x | Deq _ -> assert false
 let enq_future = function Enq (_, f) -> f | Deq _ -> assert false
 let deq_future = function Deq f -> f | Enq _ -> assert false
 
-let op_pending = function
-  | Enq (_, f) -> Future.is_pending f
-  | Deq f -> Future.is_pending f
-
-(* Tombstone cancelled ops and compact, so the prefix runs below only
-   ever see live operations. Cancellation is owner-only, so no new
-   tombstones can appear while a flush is in progress. *)
-let withdraw_cancelled h =
-  let len = Opbuf.length h.ops in
-  let any = ref false in
-  for i = 0 to len - 1 do
-    if not (op_pending (Opbuf.get h.ops i)) then begin
-      Opbuf.delete h.ops i;
-      any := true
-    end
-  done;
-  if !any then ignore (Opbuf.compact h.ops : int)
-
 (* Apply maximal prefix runs of same-type operations until [stop]
    (checked between runs) or exhaustion. Each run is spliced straight out
    of the ring — one combined enqueue or dequeue per run — and dropped
    from the front only once fully applied, so operations appended by
-   reentrant invocations simply extend the tail of the window. *)
+   reentrant invocations simply extend the tail of the window. Cancelled
+   ops are withdrawn first, so the runs only ever see live operations;
+   cancellation is owner-only, so none can appear during the flush. *)
 let flush_until h stop =
-  withdraw_cancelled h;
+  ignore (Window.withdraw h.ops : int);
+  let ops = Window.ops h.ops in
   let rec go () =
-    let len = Opbuf.length h.ops in
+    let len = Opbuf.length ops in
     if len > 0 && not (stop ()) then begin
-      let first = Opbuf.get h.ops 0 in
+      let first = Opbuf.get ops 0 in
       let n = ref 1 in
-      while !n < len && same_kind (Opbuf.get h.ops !n) first do incr n done;
+      while !n < len && same_kind (Opbuf.get ops !n) first do incr n done;
       let n = !n in
       (match first with
       | Enq _ ->
           Lockfree.Ms_queue.enqueue_seg h.owner.queue ~n ~get:(fun i ->
-              enq_value (Opbuf.get h.ops i));
+              enq_value (Opbuf.get ops i));
           Obs.splice ~kind:Obs.Event.k_medium_queue_enq ~n;
           for i = 0 to n - 1 do
-            Future.fulfil (enq_future (Opbuf.get h.ops i)) ()
+            Future.fulfil (enq_future (Opbuf.get ops i)) ()
           done
       | Deq _ ->
           let k =
             Lockfree.Ms_queue.dequeue_seg h.owner.queue ~n ~f:(fun i v ->
-                Future.fulfil (deq_future (Opbuf.get h.ops i)) (Some v))
+                Future.fulfil (deq_future (Opbuf.get ops i)) (Some v))
           in
           Obs.splice ~kind:Obs.Event.k_medium_queue_deq ~n:k;
           for i = k to n - 1 do
-            Future.fulfil (deq_future (Opbuf.get h.ops i)) None
+            Future.fulfil (deq_future (Opbuf.get ops i)) None
           done);
-      Opbuf.drop_front h.ops n;
+      Opbuf.drop_front ops n;
       go ()
     end
   in
@@ -82,26 +74,18 @@ let flush_until h stop =
 
 let flush h = flush_until h (fun () -> false)
 
-let abandon h =
-  let n = ref 0 in
-  let poison : type x. x Future.t -> unit =
-   fun f -> if Future.poison f Future.Orphaned then incr n
-  in
-  let op_poison = function Enq (_, f) -> poison f | Deq f -> poison f in
-  Opbuf.iter op_poison h.ops;
-  Opbuf.clear h.ops;
-  !n
+let abandon h = Window.abandon h.ops
 
 let enqueue h x =
   let f = Future.create () in
   Future.set_evaluator f (fun () ->
       flush_until h (fun () -> Future.is_ready f));
-  Opbuf.push h.ops (Enq (x, f));
+  Window.push h.ops (Enq (x, f));
   f
 
 let dequeue h =
   let f = Future.create () in
   Future.set_evaluator f (fun () ->
       flush_until h (fun () -> Future.is_ready f));
-  Opbuf.push h.ops (Deq f);
+  Window.push h.ops (Deq f);
   f

@@ -16,15 +16,13 @@ type 'a t = { stack : 'a Lockfree.Treiber_stack.t }
    until all of the thread's earlier operations have taken effect. *)
 type 'a handle = {
   owner : 'a t;
-  ops : 'a op Opbuf.t; (* oldest first *)
-  (* Flush-time working state: [ops] is swapped into [work] before any
-     future is fulfilled, so reentrant operations land in a fresh window;
-     [buf_*] holds unmatched pushes (a LIFO via push/pop_back) and
-     [shared_pops] the pops that must read the shared stack. *)
-  work : 'a op Opbuf.t;
-  buf_vals : 'a Opbuf.t;
-  buf_futs : unit Future.t Opbuf.t;
-  shared_pops : 'a option Future.t Opbuf.t;
+  ops : ('a op, unit) Window.t;
+  (* Flush-time working state: [buf] holds unmatched pushes (a LIFO via
+     push/pop_back) and [shared_pops] the pops that must read the shared
+     stack. Both are windows so [abandon] poisons what a flush had in
+     hand. *)
+  buf : (unit Future.t, 'a) Window.t;
+  shared_pops : ('a option Future.t, unit) Window.t;
 }
 
 let create () = { stack = Lockfree.Treiber_stack.create () }
@@ -33,99 +31,83 @@ let shared t = t.stack
 let handle owner =
   {
     owner;
-    ops = Opbuf.create ();
-    work = Opbuf.create ();
-    buf_vals = Opbuf.create ();
-    buf_futs = Opbuf.create ();
-    shared_pops = Opbuf.create ();
+    ops =
+      Window.create
+        ~pending:(function
+          | Push (_, f) -> Future.is_pending f | Pop f -> Future.is_pending f)
+        ~poison:(function
+          | Push (_, f) -> Window.orphan f | Pop f -> Window.orphan f)
+        ();
+    buf = Window.of_futures ();
+    shared_pops = Window.of_futures ();
   }
 
-let pending_count h = Opbuf.length h.ops
-
-let op_pending = function
-  | Push (_, f) -> Future.is_pending f
-  | Pop f -> Future.is_pending f
+let pending_count h = Window.length h.ops
 
 (* Replay the pending window against a buffer of not-yet-applied pushes:
    a pop cancels the newest buffered push (the adjacent push/pop pair is
    a no-op on the stack); a pop with no buffered push must read the
    shared stack — and since its buffer was empty, every surviving push is
    younger than it, so all shared pops precede all surviving pushes in
-   invocation order. One combined pop and one combined push suffice. *)
+   invocation order. One combined pop and one combined push suffice.
+   Withdrawn (cancelled) ops are no-ops: a withdrawn push contributes no
+   value and a withdrawn pop consumes none. *)
 let flush h =
-  let n = Opbuf.length h.ops in
-  if n > 0 then begin
-    Opbuf.swap h.ops h.work;
+  if Window.length h.ops > 0 then begin
+    let n = Window.detach h.ops in
+    let work = Window.work h.ops in
+    let buf_vals = Window.vals h.buf and buf_futs = Window.ops h.buf in
+    let shared_pops = Window.ops h.shared_pops in
     for i = 0 to n - 1 do
-      let op = Opbuf.get h.work i in
-      (* A cancelled op is a no-op: a withdrawn push contributes no value
-         and a withdrawn pop consumes none. *)
-      if op_pending op then
-        match op with
-        | Push (v, f) ->
-            Opbuf.push h.buf_vals v;
-            Opbuf.push h.buf_futs f
-        | Pop f ->
-            if Opbuf.length h.buf_vals > 0 then begin
-              let v = Opbuf.pop_back h.buf_vals in
-              Future.fulfil (Opbuf.pop_back h.buf_futs) ();
-              Future.fulfil f (Some v)
-            end
-            else Opbuf.push h.shared_pops f
+      match Opbuf.get work i with
+      | Push (v, f) ->
+          Opbuf.push buf_vals v;
+          Opbuf.push buf_futs f
+      | Pop f ->
+          if Opbuf.length buf_vals > 0 then begin
+            let v = Opbuf.pop_back buf_vals in
+            Future.fulfil (Opbuf.pop_back buf_futs) ();
+            Future.fulfil f (Some v)
+          end
+          else Opbuf.push shared_pops f
     done;
-    Opbuf.clear h.work;
-    let np = Opbuf.length h.shared_pops in
+    Window.release h.ops;
+    let np = Opbuf.length shared_pops in
     if np > 0 then begin
       (* Oldest surviving pop receives the value that was on top. *)
       let k =
         Lockfree.Treiber_stack.pop_seg h.owner.stack ~n:np ~f:(fun i v ->
-            Future.fulfil (Opbuf.get h.shared_pops i) (Some v))
+            Future.fulfil (Opbuf.get shared_pops i) (Some v))
       in
       Obs.splice ~kind:Obs.Event.k_medium_stack_pop ~n:k;
       for i = k to np - 1 do
-        Future.fulfil (Opbuf.get h.shared_pops i) None
+        Future.fulfil (Opbuf.get shared_pops i) None
       done;
-      Opbuf.clear h.shared_pops
+      Opbuf.clear shared_pops
     end;
-    let nb = Opbuf.length h.buf_vals in
+    let nb = Opbuf.length buf_vals in
     if nb > 0 then begin
       (* Oldest surviving push deepest: one CAS splices the window. *)
       Lockfree.Treiber_stack.push_seg h.owner.stack ~n:nb ~get:(fun i ->
-          Opbuf.get h.buf_vals i);
+          Opbuf.get buf_vals i);
       Obs.splice ~kind:Obs.Event.k_medium_stack_push ~n:nb;
       for i = 0 to nb - 1 do
-        Future.fulfil (Opbuf.get h.buf_futs i) ()
+        Future.fulfil (Opbuf.get buf_futs i) ()
       done;
-      Opbuf.clear h.buf_vals;
-      Opbuf.clear h.buf_futs
+      Opbuf.clear buf_vals;
+      Opbuf.clear buf_futs
     end
   end
 
 let abandon h =
-  let n = ref 0 in
-  let poison : type x. x Future.t -> unit =
-   fun f -> if Future.poison f Future.Orphaned then incr n
-  in
-  let op_poison = function Push (_, f) -> poison f | Pop f -> poison f in
-  Opbuf.iter op_poison h.ops;
-  Opbuf.iter op_poison h.work;
-  Opbuf.iter poison h.buf_futs;
-  Opbuf.iter poison h.shared_pops;
-  Opbuf.clear h.ops;
-  Opbuf.clear h.work;
-  Opbuf.clear h.buf_vals;
-  Opbuf.clear h.buf_futs;
-  Opbuf.clear h.shared_pops;
-  !n
+  Window.abandon h.ops + Window.abandon h.buf + Window.abandon h.shared_pops
 
 let push h x =
-  let f = Future.create () in
-  Future.set_evaluator f (fun () -> flush h);
-  Opbuf.push h.ops (Push (x, f));
+  let f = Window.future (fun () -> flush h) in
+  Window.push h.ops (Push (x, f));
   f
 
 let pop h =
-  let f = Future.create () in
-  Future.set_evaluator f (fun () -> flush h);
-  Opbuf.push h.ops (Pop f);
+  let f = Window.future (fun () -> flush h) in
+  Window.push h.ops (Pop f);
   f

@@ -53,29 +53,36 @@ let lockfree_stack () =
     s_dials = (fun () -> []);
   }
 
-let weak_stack_with ?(exchange = false) ~elimination () =
-  let s = Weak_stack.create ~elimination ~exchange () in
+(* A weak/medium stack: per-handle pending windows over a shared Treiber
+   stack, nothing to drain. *)
+let handle_stack ?(dials = fun () -> []) shared ~handle ~push ~pop ~flush
+    ~abandon =
   {
     s_handle =
       (fun () ->
-        let h = Weak_stack.handle s in
+        let h = handle () in
         {
-          s_push = (fun x -> Weak_stack.push h x);
-          s_pop = (fun () -> Weak_stack.pop h);
-          s_flush = (fun () -> Weak_stack.flush h);
-          s_abandon = (fun () -> Weak_stack.abandon h);
+          s_push = (fun x -> push h x);
+          s_pop = (fun () -> pop h);
+          s_flush = (fun () -> flush h);
+          s_abandon = (fun () -> abandon h);
         });
     s_drain = ignore;
-    s_cas_count =
-      (fun () -> Lockfree.Treiber_stack.cas_count (Weak_stack.shared s));
-    s_contents =
-      (fun () -> Lockfree.Treiber_stack.to_list (Weak_stack.shared s));
-    s_dials =
-      (fun () ->
-        match Weak_stack.exchanger s with
-        | Some ex -> Tunable.of_exchanger ~name:"weak-stack.elim" ex
-        | None -> []);
+    s_cas_count = (fun () -> Lockfree.Treiber_stack.cas_count shared);
+    s_contents = (fun () -> Lockfree.Treiber_stack.to_list shared);
+    s_dials = dials;
   }
+
+let weak_stack_with ?(exchange = false) ~elimination () =
+  let s = Weak_stack.create ~elimination ~exchange () in
+  handle_stack (Weak_stack.shared s)
+    ~handle:(fun () -> Weak_stack.handle s)
+    ~push:Weak_stack.push ~pop:Weak_stack.pop ~flush:Weak_stack.flush
+    ~abandon:Weak_stack.abandon
+    ~dials:(fun () ->
+      match Weak_stack.exchanger s with
+      | Some ex -> Tunable.of_exchanger ~name:"weak-stack.elim" ex
+      | None -> [])
 
 let weak_stack () = weak_stack_with ~elimination:true ()
 
@@ -83,23 +90,10 @@ let weak_exchange_stack () = weak_stack_with ~exchange:true ~elimination:true ()
 
 let medium_stack () =
   let s = Medium_stack.create () in
-  {
-    s_handle =
-      (fun () ->
-        let h = Medium_stack.handle s in
-        {
-          s_push = (fun x -> Medium_stack.push h x);
-          s_pop = (fun () -> Medium_stack.pop h);
-          s_flush = (fun () -> Medium_stack.flush h);
-          s_abandon = (fun () -> Medium_stack.abandon h);
-        });
-    s_drain = ignore;
-    s_cas_count =
-      (fun () -> Lockfree.Treiber_stack.cas_count (Medium_stack.shared s));
-    s_contents =
-      (fun () -> Lockfree.Treiber_stack.to_list (Medium_stack.shared s));
-    s_dials = (fun () -> []);
-  }
+  handle_stack (Medium_stack.shared s)
+    ~handle:(fun () -> Medium_stack.handle s)
+    ~push:Medium_stack.push ~pop:Medium_stack.pop ~flush:Medium_stack.flush
+    ~abandon:Medium_stack.abandon
 
 let strong_stack () =
   let s = Strong_stack.create () in
@@ -220,44 +214,38 @@ let lockfree_queue () =
     q_dials = (fun () -> []);
   }
 
-let weak_queue () =
-  let q = Weak_queue.create () in
+(* A weak/medium queue: per-handle pending windows over a shared MS
+   queue, nothing to drain. *)
+let handle_queue shared ~handle ~enqueue ~dequeue ~flush ~abandon =
   {
     q_handle =
       (fun () ->
-        let h = Weak_queue.handle q in
+        let h = handle () in
         {
-          q_enq = (fun x -> Weak_queue.enqueue h x);
-          q_deq = (fun () -> Weak_queue.dequeue h);
-          q_flush = (fun () -> Weak_queue.flush h);
-          q_abandon = (fun () -> Weak_queue.abandon h);
+          q_enq = (fun x -> enqueue h x);
+          q_deq = (fun () -> dequeue h);
+          q_flush = (fun () -> flush h);
+          q_abandon = (fun () -> abandon h);
         });
     q_drain = ignore;
-    q_cas_count =
-      (fun () -> Lockfree.Ms_queue.cas_count (Weak_queue.shared q));
-    q_contents = (fun () -> Lockfree.Ms_queue.to_list (Weak_queue.shared q));
+    q_cas_count = (fun () -> Lockfree.Ms_queue.cas_count shared);
+    q_contents = (fun () -> Lockfree.Ms_queue.to_list shared);
     q_dials = (fun () -> []);
   }
 
+let weak_queue () =
+  let q = Weak_queue.create () in
+  handle_queue (Weak_queue.shared q)
+    ~handle:(fun () -> Weak_queue.handle q)
+    ~enqueue:Weak_queue.enqueue ~dequeue:Weak_queue.dequeue
+    ~flush:Weak_queue.flush ~abandon:Weak_queue.abandon
+
 let medium_queue () =
   let q = Medium_queue.create () in
-  {
-    q_handle =
-      (fun () ->
-        let h = Medium_queue.handle q in
-        {
-          q_enq = (fun x -> Medium_queue.enqueue h x);
-          q_deq = (fun () -> Medium_queue.dequeue h);
-          q_flush = (fun () -> Medium_queue.flush h);
-          q_abandon = (fun () -> Medium_queue.abandon h);
-        });
-    q_drain = ignore;
-    q_cas_count =
-      (fun () -> Lockfree.Ms_queue.cas_count (Medium_queue.shared q));
-    q_contents =
-      (fun () -> Lockfree.Ms_queue.to_list (Medium_queue.shared q));
-    q_dials = (fun () -> []);
-  }
+  handle_queue (Medium_queue.shared q)
+    ~handle:(fun () -> Medium_queue.handle q)
+    ~enqueue:Medium_queue.enqueue ~dequeue:Medium_queue.dequeue
+    ~flush:Medium_queue.flush ~abandon:Medium_queue.abandon
 
 let strong_queue () =
   let q = Strong_queue.create () in
@@ -352,43 +340,39 @@ let lockfree_set () =
     l_dials = (fun () -> []);
   }
 
-let weak_set () =
-  let l = WL.create () in
+(* A weak/medium/txn set: per-handle pending windows over a shared Harris
+   list, nothing to drain. *)
+let handle_set shared ~handle ~insert ~remove ~contains ~flush ~abandon =
   {
     l_handle =
       (fun () ->
-        let h = WL.handle l in
+        let h = handle () in
         {
-          l_insert = (fun k -> WL.insert h k);
-          l_remove = (fun k -> WL.remove h k);
-          l_contains = (fun k -> WL.contains h k);
-          l_flush = (fun () -> WL.flush h);
-          l_abandon = (fun () -> WL.abandon h);
+          l_insert = (fun k -> insert h k);
+          l_remove = (fun k -> remove h k);
+          l_contains = (fun k -> contains h k);
+          l_flush = (fun () -> flush h);
+          l_abandon = (fun () -> abandon h);
         });
     l_drain = ignore;
-    l_cas_count = (fun () -> Harris.cas_count (WL.shared l));
-    l_contents = (fun () -> Harris.to_list (WL.shared l));
+    l_cas_count = (fun () -> Harris.cas_count shared);
+    l_contents = (fun () -> Harris.to_list shared);
     l_dials = (fun () -> []);
   }
 
+let weak_set () =
+  let l = WL.create () in
+  handle_set (WL.shared l)
+    ~handle:(fun () -> WL.handle l)
+    ~insert:WL.insert ~remove:WL.remove ~contains:WL.contains ~flush:WL.flush
+    ~abandon:WL.abandon
+
 let medium_set_with ~resume_hint =
   let l = ML.create ~resume_hint () in
-  {
-    l_handle =
-      (fun () ->
-        let h = ML.handle l in
-        {
-          l_insert = (fun k -> ML.insert h k);
-          l_remove = (fun k -> ML.remove h k);
-          l_contains = (fun k -> ML.contains h k);
-          l_flush = (fun () -> ML.flush h);
-          l_abandon = (fun () -> ML.abandon h);
-        });
-    l_drain = ignore;
-    l_cas_count = (fun () -> Harris.cas_count (ML.shared l));
-    l_contents = (fun () -> Harris.to_list (ML.shared l));
-    l_dials = (fun () -> []);
-  }
+  handle_set (ML.shared l)
+    ~handle:(fun () -> ML.handle l)
+    ~insert:ML.insert ~remove:ML.remove ~contains:ML.contains ~flush:ML.flush
+    ~abandon:ML.abandon
 
 let medium_set () = medium_set_with ~resume_hint:true
 
@@ -414,22 +398,10 @@ let strong_set () = strong_set_with ~sort_batch:true
 
 let txn_set () =
   let l = TL.create () in
-  {
-    l_handle =
-      (fun () ->
-        let h = TL.handle l in
-        {
-          l_insert = (fun k -> TL.insert h k);
-          l_remove = (fun k -> TL.remove h k);
-          l_contains = (fun k -> TL.contains h k);
-          l_flush = (fun () -> TL.flush h);
-          l_abandon = (fun () -> TL.abandon h);
-        });
-    l_drain = ignore;
-    l_cas_count = (fun () -> Harris.cas_count (TL.shared l));
-    l_contents = (fun () -> Harris.to_list (TL.shared l));
-    l_dials = (fun () -> []);
-  }
+  handle_set (TL.shared l)
+    ~handle:(fun () -> TL.handle l)
+    ~insert:TL.insert ~remove:TL.remove ~contains:TL.contains ~flush:TL.flush
+    ~abandon:TL.abandon
 
 let fc_set () =
   let l = FCSet.create () in

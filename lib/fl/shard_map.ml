@@ -9,11 +9,9 @@ end
 
 module Make (K : KEY) = struct
   module M = Lockfree.Harris_kv.Make (K)
+  module S = Sorted.Map (K)
 
-  type 'v op =
-    | Insert of K.t * 'v * bool Future.t
-    | Find of K.t * 'v option Future.t
-    | Remove of K.t * 'v option Future.t
+  type 'v op = 'v S.op
 
   (* A sealed pending window in flight between owners. Once shipped, the
      buffer belongs to whoever wins the ack/recover CAS — exactly one
@@ -114,23 +112,8 @@ module Make (K : KEY) = struct
 
   (* ------------------------- op plumbing --------------------------- *)
 
-  let key_of = function Insert (k, _, _) | Find (k, _) | Remove (k, _) -> k
-
-  let op_pending = function
-    | Insert (_, _, f) -> Future.is_pending f
-    | Find (_, f) -> Future.is_pending f
-    | Remove (_, f) -> Future.is_pending f
-
-  let poison_op = function
-    | Insert (_, _, f) -> Future.poison f Future.Orphaned
-    | Find (_, f) -> Future.poison f Future.Orphaned
-    | Remove (_, f) -> Future.poison f Future.Orphaned
-
-  let poison_buf w =
-    let n = ref 0 in
-    Opbuf.iter (fun op -> if poison_op op then incr n) w;
-    Opbuf.clear w;
-    !n
+  let withdraw w = Window.withdraw_ring ~pending:S.pending w
+  let poison_buf w = Window.poison_ring ~poison:S.poison w
 
   (* Settle a successful recovery: poison the lost window, if any, and
      return the number of futures poisoned. *)
@@ -141,44 +124,12 @@ module Make (K : KEY) = struct
     Obs.shard_recover ~bucket ~poisoned:k;
     k
 
-  (* Apply a window against a bucket segment: one traversal, ops sorted
-     by key (stable, so per-key invocation order is kept), position
-     resumed between keys — the same combining as Weak_map.flush.
-     Cancelled/poisoned ops are skipped; fulfilment is try_fulfil, since
-     the window may have been shipped here and a racing abandon of the
-     issuing handle must not turn into Already_fulfilled. *)
-  let apply_window kv w =
-    let ops = Array.of_list (Opbuf.to_list w) in
-    Array.stable_sort (fun a b -> K.compare (key_of a) (key_of b)) ops;
-    let pos = ref (M.head_position kv) in
-    let applied = ref 0 in
-    Array.iter
-      (fun op ->
-        if op_pending op then begin
-          incr applied;
-          match op with
-          | Insert (k, v, f) ->
-              let r, p = M.insert_from kv !pos k v in
-              pos := p;
-              ignore (Future.try_fulfil f r)
-          | Find (k, f) ->
-              let r, p = M.find_from kv !pos k in
-              pos := p;
-              ignore (Future.try_fulfil f r)
-          | Remove (k, f) ->
-              let r, p = M.remove_from kv !pos k in
-              pos := p;
-              ignore (Future.try_fulfil f r)
-        end)
-      ops;
-    !applied
-
   (* A shipped package is owned by nobody's handle, so if its application
      dies mid-way (a kill at a fulfil point under whole-process chaos)
      the survivors must not hang: poison the un-applied remainder before
      re-raising. *)
   let apply_pkg t kv pkg =
-    match apply_window kv pkg with
+    match S.apply kv pkg with
     | n ->
         Opbuf.clear pkg;
         Obs.splice ~kind:Obs.Event.k_shard ~n
@@ -203,25 +154,24 @@ module Make (K : KEY) = struct
       Opbuf.iter
         (fun op ->
           match op with
-          | Insert (k', _, f) when Future.is_pending f && K.compare k k' = 0 ->
+          | S.Insert (k', _, f) when Future.is_pending f && K.compare k k' = 0
+            ->
               found := true
-          | Remove (k', f) when Future.is_pending f && K.compare k k' = 0 ->
+          | S.Remove (k', f) when Future.is_pending f && K.compare k k' = 0 ->
               found := true
           | _ -> ())
         w;
       !found
     in
+    (* A served find is no longer pending: the next withdraw drops it. *)
     for idx = 0 to Opbuf.length w - 1 do
-      if not (Opbuf.deleted w idx) then
-        match Opbuf.get w idx with
-        | Find (k, f) when Future.is_pending f && not (mutation_on k) ->
-            let r = M.find sh.kv k in
-            if Future.try_fulfil f r then begin
-              Atomic.incr t.c_degraded;
-              Obs.shard_degraded ~bucket:i
-            end;
-            Opbuf.delete w idx
-        | _ -> ()
+      match Opbuf.get w idx with
+      | S.Find (k, f) when Future.is_pending f && not (mutation_on k) ->
+          if Future.try_fulfil f (M.find sh.kv k) then begin
+            Atomic.incr t.c_degraded;
+            Obs.shard_degraded ~bucket:i
+          end
+      | _ -> ()
     done
 
   (* ------------------------ owner-side pump ------------------------- *)
@@ -245,7 +195,7 @@ module Make (K : KEY) = struct
               Faults.point "shard.ship";
               let pkg = Opbuf.create () in
               Opbuf.swap pkg h.wins.(i);
-              let n = Opbuf.live pkg in
+              let n = withdraw pkg in
               (* Stamp before the publishing CAS: the requester acks as
                  soon as Shipped is visible, and its ack must not sort
                  before this ship in the exported trace. *)
@@ -282,8 +232,7 @@ module Make (K : KEY) = struct
       let req_deadline = ref infinity in
       let t0 = ref 0 in
       let rec loop () =
-        if Opbuf.live w = 0 then Opbuf.clear w
-        else begin
+        if withdraw w > 0 then begin
           let now = Sync.Mono.now () in
           match Bucket.state sh.b with
           | Bucket.Owned { owner; until; _ } when owner = h.me && now < until ->
@@ -303,8 +252,7 @@ module Make (K : KEY) = struct
           | Bucket.Owned _ ->
               (* live foreign lease: read-only service, then request *)
               degraded_serve h i;
-              if Opbuf.live w = 0 then Opbuf.clear w
-              else begin
+              if withdraw w > 0 then begin
                 if Bucket.try_request sh.b ~me:h.me then begin
                   Atomic.incr t.c_requests;
                   let s = Obs.shard_request ~bucket:i in
@@ -338,12 +286,12 @@ module Make (K : KEY) = struct
           | Bucket.Requested _ | Bucket.Granted _ | Bucket.Shipped _ ->
               (* a transfer between other handles: degraded reads only *)
               degraded_serve h i;
-              if Opbuf.live w = 0 then Opbuf.clear w else wait ()
+              if withdraw w > 0 then wait ()
         end
       and apply () =
         (* Applied in place: if this domain dies mid-apply, the window is
            still attached and [abandon] poisons the remainder. *)
-        let n = apply_window sh.kv w in
+        let n = S.apply sh.kv w in
         Opbuf.clear w;
         Obs.splice ~kind:Obs.Event.k_shard ~n
       and wait () =
@@ -388,28 +336,26 @@ module Make (K : KEY) = struct
     Opbuf.push h.wins.(i) op;
     Future.set_evaluator f (fun () ->
         flush h;
-        settle h i (fun () -> Future.is_pending f))
+        settle h i (fun () -> Future.is_pending f));
+    f
 
   let insert h k v =
     let f = Future.create () in
-    add h k (Insert (k, v, f)) f;
-    f
+    add h k (S.Insert (k, v, f)) f
 
   let find h k =
     let f = Future.create () in
-    add h k (Find (k, f)) f;
-    f
+    add h k (S.Find (k, f)) f
 
   let remove h k =
     let f = Future.create () in
-    add h k (Remove (k, f)) f;
-    f
+    add h k (S.Remove (k, f)) f
 
   let pending_count h =
     Array.fold_left
       (fun n w ->
         let k = ref 0 in
-        Opbuf.iter (fun op -> if op_pending op then incr k) w;
+        Opbuf.iter (fun op -> if S.pending op then incr k) w;
         n + !k)
       0 h.wins
 

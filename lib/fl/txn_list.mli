@@ -12,7 +12,8 @@
     This module implements that design: the shared list is paired with a
     lock; a flush acquires it, applies the whole pending batch in
     ascending key order — one traversal, at most one physical modification
-    per key, exactly like the weak-FL list — and releases. Because the
+    per key, with the weak-FL list's own sorted apply ({!Sorted.Set}) —
+    and releases. Because the
     batch takes effect atomically, no other thread can observe an
     intermediate state, so the key-order reordering is unobservable and
     medium futures linearizability is preserved: results are computed by

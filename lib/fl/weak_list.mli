@@ -1,13 +1,14 @@
 (** Weak-FL linked-list set (Kogan & Herlihy §4.3).
 
-    Each thread's pending operations are kept {e sorted by key}; forcing
-    any future traverses the shared Harris list once, in ascending key
-    order, applying every pending operation. Multiple pending operations
-    on the same key are {e combined}: their results are computed by
-    running the key's operation sequence against the presence observed at
-    the (single) linearization instant, and at most one physical
-    modification per key reaches the shared list — a legal weak-FL
-    behaviour because every one of those operations is still pending.
+    Forcing any future sorts the thread's pending window {e by key} and
+    traverses the shared Harris list once, in ascending key order,
+    applying every pending operation ({!Sorted.Set}, shared with
+    {!Txn_list}). Multiple pending operations on the same key are
+    {e combined}: their results are computed by running the key's
+    operation sequence against the presence observed at the (single)
+    linearization instant, and at most one physical modification per key
+    reaches the shared list — a legal weak-FL behaviour because every one
+    of those operations is still pending.
 
     The single traversal is realized with the Harris list's position API:
     because keys are visited in ascending order, each search resumes from

@@ -8,11 +8,12 @@
     Bindings are bind-once: [insert] on a present key leaves the existing
     binding (and its future yields [false]); replace = remove + insert.
 
-    Pending operations are kept sorted by key and applied oldest-first
-    per key; forcing any future flushes the whole pending batch in one
-    ascending traversal of the shared list (each operation pays its own
-    physical list operation, but the search resumes from the previous
-    position — the combining that makes bulk lookups and loads cheap). *)
+    Pending operations wait in invocation order; forcing any future
+    stable-sorts the window by key and flushes it in one ascending
+    traversal of the shared list, oldest-first per key ({!Sorted.Map},
+    shared with {!Shard_map}). Each operation pays its own physical list
+    operation, but the search resumes from the previous position — the
+    combining that makes bulk lookups and loads cheap. *)
 
 module Make (K : Lockfree.Harris_list.KEY) : sig
   type 'v t

@@ -6,124 +6,52 @@ type 'a handle = {
   owner : 'a t;
   (* Pending operations, oldest first. Enqueue values and futures live in
      parallel rings so an enqueue allocates nothing beyond its future. *)
-  enq_vals : 'a Opbuf.t;
-  enq_futs : unit Future.t Opbuf.t;
-  deqs : 'a option Future.t Opbuf.t;
-  (* Scratch rings swapped in at flush time so reentrant operations land
-     in a fresh window. *)
-  scratch_vals : 'a Opbuf.t;
-  scratch_futs : unit Future.t Opbuf.t;
-  scratch_deqs : 'a option Future.t Opbuf.t;
+  enqs : (unit Future.t, 'a) Window.t;
+  deqs : ('a option Future.t, unit) Window.t;
 }
 
 let create () = { queue = Lockfree.Ms_queue.create () }
 let shared t = t.queue
 
 let handle owner =
-  {
-    owner;
-    enq_vals = Opbuf.create ();
-    enq_futs = Opbuf.create ();
-    deqs = Opbuf.create ();
-    scratch_vals = Opbuf.create ();
-    scratch_futs = Opbuf.create ();
-    scratch_deqs = Opbuf.create ();
-  }
+  { owner; enqs = Window.of_futures (); deqs = Window.of_futures () }
 
-let pending_count h = Opbuf.length h.enq_vals + Opbuf.length h.deqs
-
-(* Withdraw cancelled ops from a detached window before it is spliced:
-   tombstone their slots (both rings at the same index, keeping the
-   parallel rings aligned), then compact. Returns the live size. *)
-let drop_cancelled_pairs vals futs n =
-  let any = ref false in
-  for i = 0 to n - 1 do
-    if not (Future.is_pending (Opbuf.get futs i)) then begin
-      Opbuf.delete futs i;
-      Opbuf.delete vals i;
-      any := true
-    end
-  done;
-  if !any then begin
-    ignore (Opbuf.compact vals : int);
-    Opbuf.compact futs
-  end
-  else n
-
-let drop_cancelled futs n =
-  let any = ref false in
-  for i = 0 to n - 1 do
-    if not (Future.is_pending (Opbuf.get futs i)) then begin
-      Opbuf.delete futs i;
-      any := true
-    end
-  done;
-  if !any then Opbuf.compact futs else n
+let pending_count h = Window.length h.enqs + Window.length h.deqs
 
 let flush_enqueues h =
-  let n = Opbuf.length h.enq_vals in
-  if n > 0 then begin
-    Opbuf.swap h.enq_vals h.scratch_vals;
-    Opbuf.swap h.enq_futs h.scratch_futs;
-    let n = drop_cancelled_pairs h.scratch_vals h.scratch_futs n in
+  if Window.length h.enqs > 0 then begin
+    let n = Window.detach h.enqs in
+    let futs = Window.work h.enqs and vals = Window.work_vals h.enqs in
     Lockfree.Ms_queue.enqueue_seg h.owner.queue ~n ~get:(fun i ->
-        Opbuf.get h.scratch_vals i);
+        Opbuf.get vals i);
     Obs.splice ~kind:Obs.Event.k_weak_queue_enq ~n;
     for i = 0 to n - 1 do
-      Future.fulfil (Opbuf.get h.scratch_futs i) ()
+      Future.fulfil (Opbuf.get futs i) ()
     done;
-    Opbuf.clear h.scratch_vals;
-    Opbuf.clear h.scratch_futs
+    Window.release h.enqs
   end
 
 let flush_dequeues h =
-  let n = Opbuf.length h.deqs in
-  if n > 0 then begin
-    Opbuf.swap h.deqs h.scratch_deqs;
-    let n = drop_cancelled h.scratch_deqs n in
+  if Window.length h.deqs > 0 then begin
+    let n = Window.detach h.deqs in
+    let deqs = Window.work h.deqs in
     (* Oldest pending dequeue receives the oldest element; dequeues in
        excess of the queue's size observe "empty". *)
     let k =
       Lockfree.Ms_queue.dequeue_seg h.owner.queue ~n ~f:(fun i v ->
-          Future.fulfil (Opbuf.get h.scratch_deqs i) (Some v))
+          Future.fulfil (Opbuf.get deqs i) (Some v))
     in
     Obs.splice ~kind:Obs.Event.k_weak_queue_deq ~n:k;
     for i = k to n - 1 do
-      Future.fulfil (Opbuf.get h.scratch_deqs i) None
+      Future.fulfil (Opbuf.get deqs i) None
     done;
-    Opbuf.clear h.scratch_deqs
+    Window.release h.deqs
   end
 
 let flush h =
   flush_enqueues h;
   flush_dequeues h
 
-let abandon h =
-  let n = ref 0 in
-  let poison : type x. x Future.t -> unit =
-   fun f -> if Future.poison f Future.Orphaned then incr n
-  in
-  Opbuf.iter poison h.enq_futs;
-  Opbuf.iter poison h.scratch_futs;
-  Opbuf.iter poison h.deqs;
-  Opbuf.iter poison h.scratch_deqs;
-  Opbuf.clear h.enq_vals;
-  Opbuf.clear h.enq_futs;
-  Opbuf.clear h.deqs;
-  Opbuf.clear h.scratch_vals;
-  Opbuf.clear h.scratch_futs;
-  Opbuf.clear h.scratch_deqs;
-  !n
-
-let enqueue h x =
-  let f = Future.create () in
-  Future.set_evaluator f (fun () -> flush_enqueues h);
-  Opbuf.push h.enq_vals x;
-  Opbuf.push h.enq_futs f;
-  f
-
-let dequeue h =
-  let f = Future.create () in
-  Future.set_evaluator f (fun () -> flush_dequeues h);
-  Opbuf.push h.deqs f;
-  f
+let abandon h = Window.abandon h.enqs + Window.abandon h.deqs
+let enqueue h x = Window.add_with h.enqs (fun () -> flush_enqueues h) x
+let dequeue h = Window.add h.deqs (fun () -> flush_dequeues h)

@@ -13,15 +13,8 @@ type 'a handle = {
      of the two windows is non-empty (a new operation of the opposite type
      pairs off instead of accumulating). Push values and futures live in
      parallel rings so a push allocates nothing beyond its future. *)
-  push_vals : 'a Opbuf.t;
-  push_futs : unit Future.t Opbuf.t;
-  pops : 'a option Future.t Opbuf.t;
-  (* Scratch rings the live windows are swapped into at flush time, so a
-     reentrant push/pop fired from a fulfilled future lands in a fresh
-     window instead of a half-processed one. *)
-  scratch_vals : 'a Opbuf.t;
-  scratch_futs : unit Future.t Opbuf.t;
-  scratch_pops : 'a option Future.t Opbuf.t;
+  pushes : (unit Future.t, 'a) Window.t;
+  pops : ('a option Future.t, unit) Window.t;
 }
 
 let create ?(elimination = true) ?(exchange = false) () =
@@ -39,55 +32,17 @@ let exchanged t =
 let exchanger t = t.exchange
 
 let handle owner =
-  {
-    owner;
-    push_vals = Opbuf.create ();
-    push_futs = Opbuf.create ();
-    pops = Opbuf.create ();
-    scratch_vals = Opbuf.create ();
-    scratch_futs = Opbuf.create ();
-    scratch_pops = Opbuf.create ();
-  }
+  { owner; pushes = Window.of_futures (); pops = Window.of_futures () }
 
-let pending_count h = Opbuf.length h.push_vals + Opbuf.length h.pops
+let pending_count h = Window.length h.pushes + Window.length h.pops
 
 (* How long a leftover pop waits in the exchange array for a producer. *)
 let exchange_patience = 64
 
-(* Withdraw cancelled ops from a detached window before it is spliced:
-   tombstone their slots — both rings at the same index, so the parallel
-   rings stay aligned — then compact. Returns the live size. *)
-let drop_cancelled_pairs vals futs n =
-  let any = ref false in
-  for i = 0 to n - 1 do
-    if not (Future.is_pending (Opbuf.get futs i)) then begin
-      Opbuf.delete futs i;
-      Opbuf.delete vals i;
-      any := true
-    end
-  done;
-  if !any then begin
-    ignore (Opbuf.compact vals : int);
-    Opbuf.compact futs
-  end
-  else n
-
-let drop_cancelled futs n =
-  let any = ref false in
-  for i = 0 to n - 1 do
-    if not (Future.is_pending (Opbuf.get futs i)) then begin
-      Opbuf.delete futs i;
-      any := true
-    end
-  done;
-  if !any then Opbuf.compact futs else n
-
 let flush_pushes h =
-  let n = Opbuf.length h.push_vals in
-  if n > 0 then begin
-    Opbuf.swap h.push_vals h.scratch_vals;
-    Opbuf.swap h.push_futs h.scratch_futs;
-    let n = drop_cancelled_pairs h.scratch_vals h.scratch_futs n in
+  if Window.length h.pushes > 0 then begin
+    let n = Window.detach h.pushes in
+    let vals = Window.work_vals h.pushes and futs = Window.work h.pushes in
     (* Cross-handle elimination: hand values to takers parked by other
        handles' starving pops. Producers only ever [try_give] — they never
        park — so the fast path costs one read-only scan when nobody
@@ -97,12 +52,12 @@ let flush_pushes h =
       | Some ex when Lockfree.Exchanger.takers_waiting ex ->
           let kept = ref 0 in
           for i = 0 to n - 1 do
-            let v = Opbuf.get h.scratch_vals i in
+            let v = Opbuf.get vals i in
             if Lockfree.Exchanger.try_give ex v then
-              Future.fulfil (Opbuf.get h.scratch_futs i) ()
+              Future.fulfil (Opbuf.get futs i) ()
             else begin
-              Opbuf.set h.scratch_vals !kept v;
-              Opbuf.set h.scratch_futs !kept (Opbuf.get h.scratch_futs i);
+              Opbuf.set vals !kept v;
+              Opbuf.set futs !kept (Opbuf.get futs i);
               incr kept
             end
           done;
@@ -111,24 +66,22 @@ let flush_pushes h =
     in
     (* Oldest push deepest: one CAS splices the whole window. *)
     Lockfree.Treiber_stack.push_seg h.owner.stack ~n ~get:(fun i ->
-        Opbuf.get h.scratch_vals i);
+        Opbuf.get vals i);
     Obs.splice ~kind:Obs.Event.k_weak_stack_push ~n;
     for i = 0 to n - 1 do
-      Future.fulfil (Opbuf.get h.scratch_futs i) ()
+      Future.fulfil (Opbuf.get futs i) ()
     done;
-    Opbuf.clear h.scratch_vals;
-    Opbuf.clear h.scratch_futs
+    Window.release h.pushes
   end
 
 let flush_pops h =
-  let n = Opbuf.length h.pops in
-  if n > 0 then begin
-    Opbuf.swap h.pops h.scratch_pops;
-    let n = drop_cancelled h.scratch_pops n in
+  if Window.length h.pops > 0 then begin
+    let n = Window.detach h.pops in
+    let pops = Window.work h.pops in
     (* Oldest pending pop receives the value that was on top. *)
     let k =
       Lockfree.Treiber_stack.pop_seg h.owner.stack ~n ~f:(fun i v ->
-          Future.fulfil (Opbuf.get h.scratch_pops i) (Some v))
+          Future.fulfil (Opbuf.get pops i) (Some v))
     in
     Obs.splice ~kind:Obs.Event.k_weak_stack_pop ~n:k;
     (* Pops in excess of the stack's size try the exchange array — some
@@ -140,31 +93,16 @@ let flush_pops h =
         | Some ex -> Lockfree.Exchanger.take ~patience:exchange_patience ex
         | None -> None
       in
-      Future.fulfil (Opbuf.get h.scratch_pops i) fed
+      Future.fulfil (Opbuf.get pops i) fed
     done;
-    Opbuf.clear h.scratch_pops
+    Window.release h.pops
   end
 
 let flush h =
   flush_pops h;
   flush_pushes h
 
-let abandon h =
-  let n = ref 0 in
-  let poison : type x. x Future.t -> unit =
-   fun f -> if Future.poison f Future.Orphaned then incr n
-  in
-  Opbuf.iter poison h.push_futs;
-  Opbuf.iter poison h.scratch_futs;
-  Opbuf.iter poison h.pops;
-  Opbuf.iter poison h.scratch_pops;
-  Opbuf.clear h.push_vals;
-  Opbuf.clear h.push_futs;
-  Opbuf.clear h.pops;
-  Opbuf.clear h.scratch_vals;
-  Opbuf.clear h.scratch_futs;
-  Opbuf.clear h.scratch_pops;
-  !n
+let abandon h = Window.abandon h.pushes + Window.abandon h.pops
 
 (* Elimination: a push hands its value to the newest pending pop (and
    vice versa); neither operation ever reaches the shared stack. A
@@ -172,16 +110,18 @@ let abandon h =
    it and pair with the next. Top-level (not closures) so the window
    fast path below allocates nothing beyond the future. *)
 let rec eliminate_push h x =
-  if Opbuf.length h.pops > 0 then
-    if Future.try_fulfil (Opbuf.pop_back h.pops) (Some x) then
+  let pops = Window.ops h.pops in
+  if Opbuf.length pops > 0 then
+    if Future.try_fulfil (Opbuf.pop_back pops) (Some x) then
       Some (Future.of_value ())
     else eliminate_push h x
   else None
 
 let rec eliminate_pop h =
-  if Opbuf.length h.push_vals > 0 then begin
-    let x = Opbuf.pop_back h.push_vals in
-    if Future.try_fulfil (Opbuf.pop_back h.push_futs) () then
+  let vals = Window.vals h.pushes in
+  if Opbuf.length vals > 0 then begin
+    let x = Opbuf.pop_back vals in
+    if Future.try_fulfil (Opbuf.pop_back (Window.ops h.pushes)) () then
       Some (Future.of_value (Some x))
     else
       (* Cancelled push: its value was withdrawn, not transferred. *)
@@ -189,25 +129,15 @@ let rec eliminate_pop h =
   end
   else None
 
-let window_push h x =
-  let f = Future.create () in
-  Future.set_evaluator f (fun () -> flush h);
-  Opbuf.push h.push_vals x;
-  Opbuf.push h.push_futs f;
-  f
-
-let window_pop h =
-  let f = Future.create () in
-  Future.set_evaluator f (fun () -> flush h);
-  Opbuf.push h.pops f;
-  f
+let window_push h x = Window.add_with h.pushes (fun () -> flush h) x
+let window_pop h = Window.add h.pops (fun () -> flush h)
 
 let push h x =
-  if h.owner.elimination && Opbuf.length h.pops > 0 then
+  if h.owner.elimination && Window.length h.pops > 0 then
     match eliminate_push h x with Some f -> f | None -> window_push h x
   else window_push h x
 
 let pop h =
-  if h.owner.elimination && Opbuf.length h.push_vals > 0 then
+  if h.owner.elimination && Window.length h.pushes > 0 then
     match eliminate_pop h with Some f -> f | None -> window_pop h
   else window_pop h

@@ -656,19 +656,6 @@ let test_runner_plan_uninstalled_with_watchdog_recovery () =
 
 (* ------------------------ cancellation windows ------------------------ *)
 
-let test_weak_stack_cancel_in_window () =
-  let s = Fl.Weak_stack.create ~elimination:false () in
-  let h = Fl.Weak_stack.handle s in
-  let f1 = Fl.Weak_stack.push h 1 in
-  let f2 = Fl.Weak_stack.push h 2 in
-  Alcotest.(check bool) "cancel wins" true (Future.cancel f2);
-  Fl.Weak_stack.flush h;
-  Alcotest.(check unit) "survivor applied" () (Future.force f1);
-  Alcotest.check_raises "cancelled op raises" Future.Cancelled (fun () ->
-      Future.force f2);
-  Alcotest.(check (list int)) "cancelled value never spliced" [ 1 ]
-    (Lockfree.Treiber_stack.to_list (Fl.Weak_stack.shared s))
-
 let test_weak_stack_cancelled_pop_not_eliminated () =
   let s = Fl.Weak_stack.create ~elimination:true () in
   let h = Fl.Weak_stack.handle s in
@@ -685,19 +672,151 @@ let test_weak_stack_cancelled_pop_not_eliminated () =
   Alcotest.check_raises "cancelled pop raises" Future.Cancelled (fun () ->
       ignore (Future.force fp))
 
-let test_medium_queue_cancel_in_window () =
-  let q = Fl.Medium_queue.create () in
-  let h = Fl.Medium_queue.handle q in
-  let f1 = Fl.Medium_queue.enqueue h 1 in
-  let f2 = Fl.Medium_queue.enqueue h 2 in
-  let f3 = Fl.Medium_queue.enqueue h 3 in
-  Alcotest.(check bool) "cancel middle op" true (Future.cancel f2);
-  Fl.Medium_queue.flush h;
-  Alcotest.(check unit) "older survivor applied" () (Future.force f1);
-  Alcotest.(check unit) "younger survivor applied" () (Future.force f3);
-  Alcotest.(check (list int)) "cancelled op skipped by the replay"
-    [ 1; 3 ]
-    (Lockfree.Ms_queue.to_list (Fl.Medium_queue.shared q))
+(* One row per handle type: three ops, the middle one cancelled, then a
+   flush. The flush must not raise, both survivors must be fulfilled
+   with their results, and the cancelled op must leave no trace in the
+   shared structure. *)
+module Int_key = struct
+  type t = int
+
+  let compare = Int.compare
+  let hash = Hashtbl.hash
+end
+
+module HSet = Lockfree.Harris_list.Make (Int_key)
+module Kv = Lockfree.Harris_kv.Make (Int_key)
+
+type cancel_op = { result : unit -> string; cancel : unit -> bool }
+
+type cancel_row = {
+  issue : int -> cancel_op;
+  flush : unit -> unit;
+  shared : unit -> string;
+  survivor : string;  (* the result of the first and third op *)
+  remains : string;  (* [shared] after the flush *)
+}
+
+let cancel_op f show =
+  {
+    result = (fun () -> show (Future.force f));
+    cancel = (fun () -> Future.cancel f);
+  }
+
+let ints l = String.concat ";" (List.map string_of_int l)
+let unit () = "()"
+
+let binds l =
+  String.concat ";" (List.map (fun (k, v) -> Printf.sprintf "%d=%s" k v) l)
+
+let seq_row ~add ~flush ~shared ~remains =
+  {
+    issue = (fun k -> cancel_op (add k) unit);
+    flush;
+    shared = (fun () -> ints (shared ()));
+    survivor = "()";
+    remains;
+  }
+
+let set_row ~insert ~flush ~shared =
+  {
+    issue = (fun k -> cancel_op (insert k) string_of_bool);
+    flush;
+    shared = (fun () -> ints (HSet.to_list (shared ())));
+    survivor = "true";
+    remains = "1;3";
+  }
+
+let map_row ~insert ~flush ~bindings =
+  {
+    issue = (fun k -> cancel_op (insert k (string_of_int k)) string_of_bool);
+    flush;
+    shared = (fun () -> binds (bindings ()));
+    survivor = "true";
+    remains = "1=1;3=3";
+  }
+
+module WL = Fl.Weak_list.Make (Int_key)
+module ML = Fl.Medium_list.Make (Int_key)
+module TL = Fl.Txn_list.Make (Int_key)
+module WM = Fl.Weak_map.Make (Int_key)
+module SM = Fl.Shard_map.Make (Int_key)
+
+let cancel_rows =
+  [
+    ( "weak stack",
+      fun () ->
+        let module S = Fl.Weak_stack in
+        let s = S.create ~elimination:false () in
+        let h = S.handle s in
+        seq_row ~add:(S.push h) ~flush:(fun () -> S.flush h) ~remains:"3;1"
+          ~shared:(fun () -> Lockfree.Treiber_stack.to_list (S.shared s)) );
+    ( "medium stack",
+      fun () ->
+        let module S = Fl.Medium_stack in
+        let s = S.create () in
+        let h = S.handle s in
+        seq_row ~add:(S.push h) ~flush:(fun () -> S.flush h) ~remains:"3;1"
+          ~shared:(fun () -> Lockfree.Treiber_stack.to_list (S.shared s)) );
+    ( "weak queue",
+      fun () ->
+        let module Q = Fl.Weak_queue in
+        let q = Q.create () in
+        let h = Q.handle q in
+        seq_row ~add:(Q.enqueue h) ~flush:(fun () -> Q.flush h) ~remains:"1;3"
+          ~shared:(fun () -> Lockfree.Ms_queue.to_list (Q.shared q)) );
+    ( "medium queue",
+      fun () ->
+        let module Q = Fl.Medium_queue in
+        let q = Q.create () in
+        let h = Q.handle q in
+        seq_row ~add:(Q.enqueue h) ~flush:(fun () -> Q.flush h) ~remains:"1;3"
+          ~shared:(fun () -> Lockfree.Ms_queue.to_list (Q.shared q)) );
+    ( "weak list",
+      fun () ->
+        let s = WL.create () in
+        let h = WL.handle s in
+        set_row ~insert:(WL.insert h) ~flush:(fun () -> WL.flush h)
+          ~shared:(fun () -> WL.shared s) );
+    ( "medium list",
+      fun () ->
+        let s = ML.create () in
+        let h = ML.handle s in
+        set_row ~insert:(ML.insert h) ~flush:(fun () -> ML.flush h)
+          ~shared:(fun () -> ML.shared s) );
+    ( "txn list",
+      fun () ->
+        let s = TL.create () in
+        let h = TL.handle s in
+        set_row ~insert:(TL.insert h) ~flush:(fun () -> TL.flush h)
+          ~shared:(fun () -> TL.shared s) );
+    ( "weak map",
+      fun () ->
+        let m = WM.create () in
+        let h = WM.handle m in
+        map_row ~insert:(WM.insert h) ~flush:(fun () -> WM.flush h)
+          ~bindings:(fun () -> Kv.bindings (WM.shared m)) );
+    ( "shard map",
+      fun () ->
+        let m = SM.create () in
+        let h = SM.handle m in
+        map_row ~insert:(SM.insert h) ~flush:(fun () -> SM.flush h)
+          ~bindings:(fun () -> SM.bindings m) );
+  ]
+
+let test_cancel_in_window make () =
+  let r = make () in
+  let first = r.issue 1 in
+  let middle = r.issue 2 in
+  let third = r.issue 3 in
+  Alcotest.(check bool) "cancel middle op" true (middle.cancel ());
+  r.flush ();
+  Alcotest.(check string) "older survivor applied" r.survivor
+    (first.result ());
+  Alcotest.(check string) "younger survivor applied" r.survivor
+    (third.result ());
+  Alcotest.check_raises "cancelled op raises" Future.Cancelled (fun () ->
+      ignore (middle.result ()));
+  Alcotest.(check string) "cancelled op left no trace" r.remains (r.shared ())
 
 let test_slack_abandon_drops_thunks () =
   let sl = Fl.Slack.create 8 in
@@ -829,13 +948,14 @@ let () =
             `Slow
             (with_clean_faults
                test_runner_plan_uninstalled_with_watchdog_recovery);
-          Alcotest.test_case "weak stack cancel in window" `Quick
-            (with_clean_faults test_weak_stack_cancel_in_window);
           Alcotest.test_case "cancelled pop not eliminated" `Quick
             (with_clean_faults test_weak_stack_cancelled_pop_not_eliminated);
-          Alcotest.test_case "medium queue cancel in window" `Quick
-            (with_clean_faults test_medium_queue_cancel_in_window);
           Alcotest.test_case "slack abandon drops thunks" `Quick
             (with_clean_faults test_slack_abandon_drops_thunks);
-        ] );
+        ]
+        @ List.map
+            (fun (name, make) ->
+              Alcotest.test_case (name ^ " cancel in window") `Quick
+                (with_clean_faults (test_cancel_in_window make)))
+            cancel_rows );
     ]

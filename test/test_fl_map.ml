@@ -210,6 +210,25 @@ let test_map_find_batch () =
     [ Some 40; None; Some 20 ]
     (List.map force fs)
 
+(* A cancelled op is withdrawn before the window is applied: it never
+   binds its key, the flush does not raise, and the op after it in the
+   window is still applied. *)
+let test_map_cancel_withdrawn () =
+  let m = WM.create () in
+  let h = WM.handle m in
+  let f1 = WM.insert h 1 "a" in
+  let f2 = WM.insert h 2 "b" in
+  Alcotest.(check bool) "cancel wins" true (Future.cancel f1);
+  WM.flush h;
+  Alcotest.(check bool) "survivor applied" true (force f2);
+  Alcotest.check_raises "cancelled op raises" Future.Cancelled (fun () ->
+      ignore (force f1));
+  Alcotest.(check (list (pair int string)))
+    "cancelled key never bound"
+    [ (2, "b") ]
+    (KV.bindings (WM.shared m));
+  Alcotest.(check int) "window empty" 0 (WM.pending_count h)
+
 let prop_map_model =
   QCheck.Test.make ~name:"weak map matches model with random slack"
     ~count:200
@@ -487,5 +506,7 @@ let () =
             test_map_bind_once_race;
           Alcotest.test_case "abandon under runner kill (3 domains)" `Slow
             test_map_abandon_under_kill;
+          Alcotest.test_case "cancelled op withdrawn" `Quick
+            test_map_cancel_withdrawn;
         ] );
     ]

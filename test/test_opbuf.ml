@@ -299,50 +299,136 @@ let prop_fifo =
       done;
       !ok)
 
-(* ---------------- allocation budget: weak-stack flush ---------------- *)
+(* ------------------ allocation budgets: window flushes ----------------- *)
 
 (* A full window's flush must allocate O(1) beyond the spliced nodes and
-   the futures themselves: the ring is reused, no transient lists. Budget:
-   push+flush ≤ 22 words/op (was ~30 with list windows; now ~18: future +
-   stack node + CAS-counter noise), pop+flush ≤ 19 (was ~27). Skipped
-   under FLDS_FAULTS: armed injection points allocate on the paths being
-   budgeted. *)
-let test_alloc_budget () =
-  if Faults.enabled () then Alcotest.skip ();
+   the futures themselves: the rings are reused, no transient lists. Each
+   row times windows of 64 ops of one kind, each followed by a flush, and
+   bounds the minor words per op. Weak stack: push+flush ≤ 22 (was ~30
+   with list windows; now ~18: future + stack node + CAS-counter noise),
+   pop+flush ≤ 19 (was ~27). The other budgets are their handles' cost
+   before the shared window core plus about 15%, except that the txn list
+   and the weak map are held to the sorted window's cost (they were ~92
+   with per-key maps of lists). Skipped under FLDS_FAULTS: armed
+   injection points allocate on the paths being budgeted. *)
+let words_per_op ~op ~flush =
   let window = 64 and iters = 500 in
-  let s = Fl.Weak_stack.create ~elimination:false () in
-  let h = Fl.Weak_stack.handle s in
-  let measure f =
-    for _ = 1 to 10 do
-      f ()
+  let round () =
+    for i = 1 to window do
+      op i
     done;
-    Gc.full_major ();
-    let before = Gc.minor_words () in
-    for _ = 1 to iters do
-      f ()
-    done;
-    (Gc.minor_words () -. before) /. float_of_int (iters * window)
+    flush ()
   in
-  let push_words =
-    measure (fun () ->
-        for i = 1 to window do
-          ignore (Fl.Weak_stack.push h i)
-        done;
-        Fl.Weak_stack.flush h)
-  in
-  let pop_words =
-    measure (fun () ->
-        for _ = 1 to window do
-          ignore (Fl.Weak_stack.pop h)
-        done;
-        Fl.Weak_stack.flush h)
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "push+flush %.1f words/op within budget" push_words)
-    true (push_words <= 22.0);
-  Alcotest.(check bool)
-    (Printf.sprintf "pop+flush %.1f words/op within budget" pop_words)
-    true (pop_words <= 19.0)
+  for _ = 1 to 10 do
+    round ()
+  done;
+  Gc.full_major ();
+  let before = Gc.minor_words () in
+  for _ = 1 to iters do
+    round ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int (iters * window)
+
+module Int_key = struct
+  type t = int
+
+  let compare = Int.compare
+end
+
+module WL = Fl.Weak_list.Make (Int_key)
+module ML = Fl.Medium_list.Make (Int_key)
+module TL = Fl.Txn_list.Make (Int_key)
+module WM = Fl.Weak_map.Make (Int_key)
+
+(* Each row makes a fresh handle and lists, per op kind, its window op,
+   the flush and the budget. *)
+let budget_rows =
+  let row kind op flush budget = (kind, op, flush, budget) in
+  [
+    ( "weak-stack",
+      fun () ->
+        let module S = Fl.Weak_stack in
+        let h = S.handle (S.create ~elimination:false ()) in
+        let flush () = S.flush h in
+        [
+          row "push" (fun i -> ignore (S.push h i)) flush 22.0;
+          row "pop" (fun _ -> ignore (S.pop h)) flush 19.0;
+        ] );
+    ( "weak-queue",
+      fun () ->
+        let module Q = Fl.Weak_queue in
+        let h = Q.handle (Q.create ()) in
+        let flush () = Q.flush h in
+        [
+          row "enq" (fun i -> ignore (Q.enqueue h i)) flush 27.0;
+          row "deq" (fun _ -> ignore (Q.dequeue h)) flush 19.0;
+        ] );
+    ( "medium-stack",
+      fun () ->
+        let module S = Fl.Medium_stack in
+        let h = S.handle (S.create ()) in
+        let flush () = S.flush h in
+        [
+          row "push" (fun i -> ignore (S.push h i)) flush 26.0;
+          row "pop" (fun _ -> ignore (S.pop h)) flush 21.0;
+        ] );
+    ( "medium-queue",
+      fun () ->
+        let module Q = Fl.Medium_queue in
+        let h = Q.handle (Q.create ()) in
+        let flush () = Q.flush h in
+        [
+          row "enq" (fun i -> ignore (Q.enqueue h i)) flush 32.0;
+          row "deq" (fun _ -> ignore (Q.dequeue h)) flush 23.0;
+        ] );
+    ( "weak-list",
+      fun () ->
+        let h = WL.handle (WL.create ()) in
+        [
+          row "contains"
+            (fun i -> ignore (WL.contains h i))
+            (fun () -> WL.flush h)
+            36.0;
+        ] );
+    ( "medium-list",
+      fun () ->
+        let h = ML.handle (ML.create ()) in
+        [
+          row "contains"
+            (fun i -> ignore (ML.contains h i))
+            (fun () -> ML.flush h)
+            40.0;
+        ] );
+    ( "txn-list",
+      fun () ->
+        let h = TL.handle (TL.create ()) in
+        [
+          row "contains"
+            (fun i -> ignore (TL.contains h i))
+            (fun () -> TL.flush h)
+            36.0;
+        ] );
+    ( "weak-map",
+      fun () ->
+        let h = WM.handle (WM.create ()) in
+        [
+          row "find"
+            (fun i -> ignore (WM.find h i))
+            (fun () -> WM.flush h)
+            36.0;
+        ] );
+  ]
+
+let test_alloc_budget make () =
+  if Faults.enabled () then Alcotest.skip ();
+  List.iter
+    (fun (kind, op, flush, budget) ->
+      let words = words_per_op ~op ~flush in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s+flush %.1f words/op within budget %.0f" kind words
+           budget)
+        true (words <= budget))
+    (make ())
 
 (* ---------------- Slack drain reentrancy regression ------------------ *)
 
@@ -404,7 +490,11 @@ let () =
         ]
         @ qsuite [ prop_parallel_rings_aligned ] );
       ( "allocation",
-        [ Alcotest.test_case "weak-stack flush budget" `Quick test_alloc_budget ] );
+        List.map
+          (fun (name, make) ->
+            Alcotest.test_case (name ^ " flush budget") `Quick
+              (test_alloc_budget make))
+          budget_rows );
       ( "slack",
         [
           Alcotest.test_case "reentrant note during drain" `Quick

@@ -16,7 +16,7 @@ bench-full:
 	dune exec bench/main.exe -- all --ops 20000 --repeats 3
 
 # Machine-readable benchmark records (ops/s, CAS/op, minor words/op)
-# under results/, stamped with the git revision. micro runs with --obs
+# under results/, stamped with the git revision: micro and Figs. 4-6. micro runs with --obs
 # so the record gains the telemetry block (pendingness percentiles,
 # mean splice batch, elimination hit rate). Every record is then
 # schema-checked.
@@ -24,10 +24,13 @@ bench-json:
 	mkdir -p results
 	dune exec bench/main.exe -- micro --obs --json results/BENCH_micro.json
 	dune exec bench/main.exe -- fig4 --quick --json results/BENCH_fig4.json
+	dune exec bench/main.exe -- fig5 --threads 1,2 --ops 200000 --repeats 3 \
+		--json results/BENCH_fig5.json
 	dune exec bench/main.exe -- fig6 --threads 1,2 --ops 20000 --repeats 3 \
 		--json results/BENCH_fig6.json
 	dune exec bin/validate_bench.exe -- results/BENCH_micro.json --bench micro
 	dune exec bin/validate_bench.exe -- results/BENCH_fig4.json --bench fig4
+	dune exec bin/validate_bench.exe -- results/BENCH_fig5.json --bench fig5
 	dune exec bin/validate_bench.exe -- results/BENCH_fig6.json --bench fig6
 
 # Machine-readable self-tuning run: the controller against hand-tuned
@@ -113,14 +116,20 @@ conformance-smoke:
 		--conformance --min-domains 2 --require op.enq --require op.deq
 	dune exec bench/main.exe -- conformance --quick --assert-service
 
-# Mega-history fuzz: one uncapped single-phase program (about 100k
-# recorded ops at the default 2000 steps x 3 threads x ~17 ops/step)
-# certified by the streaming checker, then a seeded-corruption campaign
-# that must find, shrink and replay a violation. The `!` inverts the
-# exit status: rejecting the corrupted history is the pass.
+# Mega-history fuzz: uncapped single-phase programs (about 4,800
+# recorded ops per iteration at the default 2000 steps x 3 threads)
+# certified by the streaming checker — the strong queue, then the weak
+# queue and weak stack, about 10k ops and under 0.1 s each — then a
+# seeded-corruption campaign that must find, shrink and replay a
+# violation. The `!` inverts the exit status: rejecting the corrupted
+# history is the pass.
 fuzz-mega:
 	mkdir -p results/fuzz
 	dune exec bin/flbench.exe -- fuzz --target mega/queue/strong \
+		--seed $(FUZZ_SEED) --iters 2 --out results/fuzz
+	dune exec bin/flbench.exe -- fuzz --target mega/queue/weak \
+		--seed $(FUZZ_SEED) --iters 2 --out results/fuzz
+	dune exec bin/flbench.exe -- fuzz --target mega/stack/weak \
 		--seed $(FUZZ_SEED) --iters 2 --out results/fuzz
 	! dune exec bin/flbench.exe -- fuzz --target mega/queue/strong@0x2a \
 		--threads 1 --mega 400 --seed $(FUZZ_SEED) --iters 3 \

@@ -6,15 +6,28 @@ type 'a state =
          [Cancelled] when the owner withdrew the pending op, [Broken e]
          when another thread poisoned an orphan. *)
 
+(* One heap block per future. [state] is field 0 of the record (tag 0,
+   scannable) and is only ever read or CASed through [cell], which views
+   the block as the one-field ['a state Atomic.t] that OCaml 5 atomics
+   are — the layout of [Lockfree.Harris_kv]'s nodes. It is mutable so
+   the compiler never shares, lifts or caches a future; no code assigns
+   it directly. *)
 type 'a t = {
-  state : 'a state Atomic.t;
+  mutable state : 'a state; [@warning "-69"]
   (* Owner-private: written at creation / by set_evaluator, read by force,
-     all on the owner thread, so no atomicity is needed. *)
-  mutable evaluator : (unit -> unit) option;
+     all on the owner thread, so no atomicity is needed. [no_eval] when
+     none is installed. *)
+  mutable evaluator : unit -> unit;
   (* Obs birth stamp (monotonic ns); 0 = created while obs was off, so
      terminal transitions never report a garbage pendingness. *)
   born : int;
 }
+
+let cell (t : 'a t) : 'a state Atomic.t = Obj.magic t
+
+(* The "no evaluator" sentinel, recognised by physical equality: a static
+   closure, so storing it allocates nothing. *)
+let no_eval () = ()
 
 exception Already_fulfilled
 exception Stuck
@@ -25,33 +38,29 @@ exception Orphaned
 exception Rejected
 
 let create () =
-  { state = Atomic.make Pending; evaluator = None; born = Obs.future_created () }
+  { state = Pending; evaluator = no_eval; born = Obs.future_created () }
 
 let create_with ~evaluator =
-  {
-    state = Atomic.make Pending;
-    evaluator = Some evaluator;
-    born = Obs.future_created ();
-  }
+  { state = Pending; evaluator; born = Obs.future_created () }
 
 (* Born fulfilled: no pending window, so nothing to observe. *)
-let of_value v = { state = Atomic.make (Ready v); evaluator = None; born = 0 }
+let of_value v = { state = Ready v; evaluator = no_eval; born = 0 }
 
 let try_fulfil t v =
   Faults.point "future.fulfil";
-  let won = Atomic.compare_and_set t.state Pending (Ready v) in
+  let won = Atomic.compare_and_set (cell t) Pending (Ready v) in
   if won then Obs.future_fulfilled ~born:t.born;
   won
 
 let fulfil t v = if not (try_fulfil t v) then raise Already_fulfilled
 
 let cancel t =
-  let won = Atomic.compare_and_set t.state Pending (Terminated Cancelled) in
+  let won = Atomic.compare_and_set (cell t) Pending (Terminated Cancelled) in
   if won then Obs.future_cancelled ~born:t.born;
   won
 
 let poison t e =
-  let won = Atomic.compare_and_set t.state Pending (Terminated (Broken e)) in
+  let won = Atomic.compare_and_set (cell t) Pending (Terminated (Broken e)) in
   if won then Obs.future_poisoned ~born:t.born;
   won
 
@@ -59,38 +68,44 @@ let poison t e =
    unlike [cancel] (owner withdrew) and [poison] (owner died) there is
    nothing to withdraw or recover — the caller may resubmit. *)
 let reject t =
-  let won = Atomic.compare_and_set t.state Pending (Terminated Rejected) in
+  let won = Atomic.compare_and_set (cell t) Pending (Terminated Rejected) in
   if won then Obs.future_rejected ~born:t.born;
   won
 
 let rejected () =
-  { state = Atomic.make (Terminated Rejected); evaluator = None; born = 0 }
+  { state = Terminated Rejected; evaluator = no_eval; born = 0 }
 
 let is_ready t =
-  match Atomic.get t.state with Ready _ -> true | Pending | Terminated _ -> false
+  match Atomic.get (cell t) with
+  | Ready _ -> true
+  | Pending | Terminated _ -> false
 
 let is_pending t =
-  match Atomic.get t.state with Pending -> true | Ready _ | Terminated _ -> false
+  match Atomic.get (cell t) with
+  | Pending -> true
+  | Ready _ | Terminated _ -> false
 
 let is_cancelled t =
-  match Atomic.get t.state with
+  match Atomic.get (cell t) with
   | Terminated Cancelled -> true
   | Pending | Ready _ | Terminated _ -> false
 
 let is_poisoned t =
-  match Atomic.get t.state with
+  match Atomic.get (cell t) with
   | Terminated (Broken _) -> true
   | Pending | Ready _ | Terminated _ -> false
 
 let is_rejected t =
-  match Atomic.get t.state with
+  match Atomic.get (cell t) with
   | Terminated Rejected -> true
   | Pending | Ready _ | Terminated _ -> false
 
 let peek t =
-  match Atomic.get t.state with Ready v -> Some v | Pending | Terminated _ -> None
+  match Atomic.get (cell t) with
+  | Ready v -> Some v
+  | Pending | Terminated _ -> None
 
-let set_evaluator t f = t.evaluator <- Some f
+let set_evaluator t f = t.evaluator <- f
 
 (* How many backoff rounds [force] waits for an evaluator-less future
    before concluding nobody will ever fulfil it. [await] has no such bound:
@@ -101,7 +116,7 @@ let await t =
   Faults.point "future.await";
   let b = Sync.Backoff.create () in
   let rec loop () =
-    match Atomic.get t.state with
+    match Atomic.get (cell t) with
     | Ready v -> v
     | Terminated e -> raise e
     | Pending ->
@@ -112,14 +127,14 @@ let await t =
 
 let await_for t ~seconds =
   Faults.point "future.await";
-  match Atomic.get t.state with
+  match Atomic.get (cell t) with
   | Ready v -> v
   | Terminated e -> raise e
   | Pending ->
       let deadline = Sync.Mono.now () +. seconds in
       let b = Sync.Backoff.create () in
       let rec loop () =
-        match Atomic.get t.state with
+        match Atomic.get (cell t) with
         | Ready v -> v
         | Terminated e -> raise e
         | Pending ->
@@ -135,7 +150,7 @@ let rec force t =
      histogram then measures actual waiting/helping, and the common
      force-after-flush of an already-fulfilled future costs no clock
      reads. *)
-  match Atomic.get t.state with
+  match Atomic.get (cell t) with
   | Ready v -> v
   | Terminated e -> raise e
   | Pending ->
@@ -145,34 +160,34 @@ let rec force t =
       v
 
 and force_body t =
-  match Atomic.get t.state with
+  match Atomic.get (cell t) with
   | Ready v -> v
   | Terminated e -> raise e
-  | Pending -> (
-      match t.evaluator with
-      | Some eval -> (
-          eval ();
-          match Atomic.get t.state with
+  | Pending ->
+      if t.evaluator != no_eval then begin
+        t.evaluator ();
+        match Atomic.get (cell t) with
+        | Ready v -> v
+        | Terminated e -> raise e
+        | Pending -> raise Stuck
+      end
+      else
+        (* No evaluator: give concurrent fulfillers a bounded chance. *)
+        let b = Sync.Backoff.create () in
+        let rec wait rounds =
+          match Atomic.get (cell t) with
           | Ready v -> v
           | Terminated e -> raise e
-          | Pending -> raise Stuck)
-      | None ->
-          (* No evaluator: give concurrent fulfillers a bounded chance. *)
-          let b = Sync.Backoff.create () in
-          let rec wait rounds =
-            match Atomic.get t.state with
-            | Ready v -> v
-            | Terminated e -> raise e
-            | Pending ->
-                if rounds = 0 then raise Stuck;
-                Sync.Backoff.once b;
-                wait (rounds - 1)
-          in
-          wait stuck_rounds)
+          | Pending ->
+              if rounds = 0 then raise Stuck;
+              Sync.Backoff.once b;
+              wait (rounds - 1)
+        in
+        wait stuck_rounds
 
 let rec force_until t ~deadline =
   Faults.point "future.force";
-  match Atomic.get t.state with
+  match Atomic.get (cell t) with
   | Ready v -> v
   | Terminated e -> raise e
   | Pending ->
@@ -182,39 +197,39 @@ let rec force_until t ~deadline =
       v
 
 and force_until_body t ~deadline =
-  match Atomic.get t.state with
+  match Atomic.get (cell t) with
   | Ready v -> v
   | Terminated e -> raise e
-  | Pending -> (
-      match t.evaluator with
-      | Some eval -> (
-          (* The evaluator is the owner's own code: run it to completion
-             (aborting it midway could leave the structure's pending
-             lists half-applied); the deadline bounds only the wait on
-             other threads. *)
-          eval ();
-          match Atomic.get t.state with
+  | Pending ->
+      if t.evaluator != no_eval then begin
+        (* The evaluator is the owner's own code: run it to completion
+           (aborting it midway could leave the structure's pending lists
+           half-applied); the deadline bounds only the wait on other
+           threads. *)
+        t.evaluator ();
+        match Atomic.get (cell t) with
+        | Ready v -> v
+        | Terminated e -> raise e
+        | Pending -> raise Stuck
+      end
+      else
+        let b = Sync.Backoff.create () in
+        let rec wait () =
+          match Atomic.get (cell t) with
           | Ready v -> v
           | Terminated e -> raise e
-          | Pending -> raise Stuck)
-      | None ->
-          let b = Sync.Backoff.create () in
-          let rec wait () =
-            match Atomic.get t.state with
-            | Ready v -> v
-            | Terminated e -> raise e
-            | Pending ->
-                if Sync.Mono.now () >= deadline then raise Timeout;
-                Sync.Backoff.once b;
-                wait ()
-          in
-          wait ())
+          | Pending ->
+              if Sync.Mono.now () >= deadline then raise Timeout;
+              Sync.Backoff.once b;
+              wait ()
+        in
+        wait ()
 
 (* A derived future inherits its parent's terminal state: forcing it
    raises the parent's [Cancelled]/[Broken] rather than [Stuck], and the
    derived future itself terminates so later forces short-circuit. *)
 let terminate t e =
-  if Atomic.compare_and_set t.state Pending (Terminated e) then
+  if Atomic.compare_and_set (cell t) Pending (Terminated e) then
     match e with
     | Broken _ -> Obs.future_poisoned ~born:t.born
     | Rejected -> Obs.future_rejected ~born:t.born

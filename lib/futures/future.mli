@@ -30,7 +30,21 @@
     wins, the losers observe [false]. Every wait ([force]/[await]/
     [await_for]/[force_until]) on a terminated future raises its terminal
     exception instead of spinning, so no waiter ever hangs on an op that
-    will never be applied. *)
+    will never be applied.
+
+    {b Layout.} A future is one heap block,
+    [{ mutable state; evaluator; born }]: a whole create → fulfil →
+    force life allocates 6 words (the block and its [Ready] box), and so
+    does [of_value]. OCaml 5.1 has no atomic record fields, so [state] is
+    read and CASed with [Atomic.get]/[Atomic.compare_and_set] on the
+    block cast to [state Atomic.t] — the field-0 idiom of
+    [Lockfree.Harris_kv]'s nodes (see [harris_kv.mli]). It is sound
+    because an ['a Atomic.t] is a one-field tag-0 block and the atomic
+    primitives touch only field 0: [state] is field 0 of a record (tag 0,
+    scanned by the GC); it is [mutable], so the compiler never shares,
+    lifts or caches the block; and it is never read or written except
+    through the cast. The evaluator is stored bare, with a static
+    sentinel closure standing for "none". *)
 
 type 'a t
 

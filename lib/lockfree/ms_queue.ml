@@ -1,7 +1,13 @@
-(* The node pointed to by [head] is a dummy; the logical queue content is
-   the chain strictly after it. [value] is mutable only so a dequeued
-   element can be dropped from the new dummy, avoiding a space leak. *)
-type 'a node = { mutable value : 'a option; next : 'a node option Atomic.t }
+(* One heap block per node. The node pointed to by [head] is a dummy; the
+   logical queue content is the chain strictly after it. [next] is field
+   0 of the [Node] block (tag 0, scannable) and is only ever read or
+   CASed through [cell], which views the block as the one-field
+   ['a node Atomic.t] that OCaml 5 atomics are — the layout of
+   {!Harris_kv}'s nodes. It is mutable so the compiler never shares,
+   lifts or caches a node; no code assigns it directly. [value] is
+   mutable only so a delivered element can be replaced by [gone],
+   keeping the new dummy from pinning it. *)
+type 'a node = Nil | Node of { mutable next : 'a node; mutable value : 'a }
 
 type 'a t = {
   head : 'a node Atomic.t;
@@ -9,10 +15,23 @@ type 'a t = {
   casc : Sync.Cas_counter.t;
 }
 
-let make_node v = { value = v; next = Atomic.make None }
+(* Only ever applied to a [Node]. *)
+let cell (n : 'a node) : 'a node Atomic.t = Obj.magic n
+
+(* The value of a dummy: a private block no caller can hold, recognised
+   by physical equality like [Fl.Opbuf]'s tombstone. Never handed out. *)
+let gone : Obj.t = Obj.repr (ref ())
+let is_gone (v : 'a) = Obj.repr v == gone
+let make_node v = Node { next = Nil; value = v }
+
+let value = function Node n -> n.value | Nil -> assert false
+
+let drop = function
+  | Node n -> n.value <- Obj.magic gone
+  | Nil -> assert false
 
 let create () =
-  let dummy = make_node None in
+  let dummy = make_node (Obj.magic gone) in
   (* Head and tail are attacked by disjoint parties (dequeuers vs
      enqueuers); padding keeps either side's CAS traffic off the other's
      line. *)
@@ -22,46 +41,52 @@ let create () =
     casc = Sync.Cas_counter.create ();
   }
 
-let counted_cas t cell expected desired =
+let counted_cas t c expected desired =
   Sync.Cas_counter.incr t.casc;
-  Atomic.compare_and_set cell expected desired
+  Atomic.compare_and_set c expected desired
 
-(* Splice the pre-linked chain [first .. last] after the current last node,
-   then swing the tail to [last]. *)
+(* One attempt to splice the pre-linked chain [first .. last] after the
+   current last node, then swing the tail to [last]. Helping a lagging
+   tail is not a failed attempt. *)
+let rec try_splice t first last =
+  let tl = Atomic.get t.tail in
+  match Atomic.get (cell tl) with
+  | Nil ->
+      counted_cas t (cell tl) Nil first
+      && begin
+           (* Lag repair is best-effort: a failure means someone helped. *)
+           ignore (counted_cas t t.tail tl last);
+           true
+         end
+  | nxt ->
+      (* Tail is lagging; help swing it and retry. *)
+      ignore (counted_cas t t.tail tl nxt);
+      try_splice t first last
+
+(* The backoff is allocated only once a splice CAS has failed. *)
 let enqueue_chain t first last =
-  let b = Sync.Backoff.create () in
-  let rec loop () =
-    let tl = Atomic.get t.tail in
-    match Atomic.get tl.next with
-    | None ->
-        if counted_cas t tl.next None (Some first) then
-          (* Lag repair is best-effort: a failure means someone helped. *)
-          ignore (counted_cas t t.tail tl last)
-        else begin
-          Sync.Backoff.once b;
-          loop ()
-        end
-    | Some nxt ->
-        (* Tail is lagging; help swing it and retry. *)
-        ignore (counted_cas t t.tail tl nxt);
-        loop ()
-  in
-  loop ()
+  if not (try_splice t first last) then begin
+    let b = Sync.Backoff.create () in
+    Sync.Backoff.once b;
+    while not (try_splice t first last) do
+      Sync.Backoff.once b
+    done
+  end
 
 let enqueue t x =
-  let n = make_node (Some x) in
+  let n = make_node x in
   enqueue_chain t n n
 
 let enqueue_list t xs =
   match xs with
   | [] -> ()
   | x1 :: rest ->
-      let first = make_node (Some x1) in
+      let first = make_node x1 in
       let last =
         List.fold_left
           (fun prev x ->
-            let n = make_node (Some x) in
-            Atomic.set prev.next (Some n);
+            let n = make_node x in
+            Atomic.set (cell prev) n;
             n)
           first rest
       in
@@ -69,120 +94,95 @@ let enqueue_list t xs =
 
 (* Indexed-segment variants of [enqueue_list]/[dequeue_many] for the FL
    flush paths: the whole window is spliced from / delivered to a ring
-   buffer without building an intermediate list. *)
-
+   buffer without building an intermediate list. [enqueue_seg] builds
+   its chain newest-first, so every link is the initialising write of
+   its node: the chain is private until the splice CAS publishes it. *)
 let enqueue_seg t ~n ~get =
   if n < 0 then invalid_arg "Ms_queue.enqueue_seg: negative count";
   if n > 0 then begin
-    let first = make_node (Some (get 0)) in
-    let last = ref first in
-    for i = 1 to n - 1 do
-      let nd = make_node (Some (get i)) in
-      Atomic.set !last.next (Some nd);
-      last := nd
+    let last = make_node (get (n - 1)) in
+    let first = ref last in
+    for i = n - 2 downto 0 do
+      first := Node { next = !first; value = get i }
     done;
-    enqueue_chain t first !last
+    enqueue_chain t !first last
   end
+
+(* The up-to-[n]-th node after [node], helping the tail forward whenever
+   we are about to pass it so it never ends up behind the head. *)
+let rec probe t n node count =
+  if count = n then node
+  else
+    match Atomic.get (cell node) with
+    | Nil -> node
+    | nxt ->
+        let tl = Atomic.get t.tail in
+        if tl == node then ignore (counted_cas t t.tail tl nxt);
+        probe t n nxt (count + 1)
+
+(* Hand the detached chain after [node] up to [last] to [f] in FIFO
+   order; returns the count delivered. [last] is the new dummy and must
+   not pin the value it handed out; the others are garbage anyway. *)
+let rec deliver f last node i =
+  let nxt = Atomic.get (cell node) in
+  f i (value nxt);
+  drop nxt;
+  if nxt == last then i + 1 else deliver f last nxt (i + 1)
+
+(* One attempt to detach up to [n] nodes after the dummy with one head
+   CAS. Returns the count delivered, or -1 if the head CAS lost. Values
+   are read only after the CAS, so none is ever [gone]. *)
+let try_dequeue_seg t n f =
+  let hd = Atomic.get t.head in
+  let last = probe t n hd 0 in
+  if last == hd then 0
+  else if counted_cas t t.head hd last then deliver f last hd 0
+  else -1
 
 let dequeue_seg t ~n ~f =
   if n < 0 then invalid_arg "Ms_queue.dequeue_seg: negative count";
   if n = 0 then 0
   else
-    let b = Sync.Backoff.create () in
-    let rec attempt () =
-      let hd = Atomic.get t.head in
-      (* Find the up-to-[n]-th node after the dummy (helping the tail
-         forward as in [dequeue_many]), CAS the head past it, then walk
-         the detached chain handing values to [f] in FIFO order. *)
-      let rec probe node count =
-        if count = n then (node, count)
-        else
-          match Atomic.get node.next with
-          | None -> (node, count)
-          | Some nxt ->
-              let tl = Atomic.get t.tail in
-              if tl == node then ignore (counted_cas t t.tail tl nxt);
-              probe nxt (count + 1)
-      in
-      let last, count = probe hd 0 in
-      if last == hd then 0
-      else if counted_cas t t.head hd last then begin
-        let rec deliver node i =
-          match Atomic.get node.next with
-          | None -> assert false
-          | Some nxt ->
-              (match nxt.value with
-              | Some v -> f i v
-              | None -> assert false);
-              (* Drop the reference: [last] is the new dummy and must not
-                 pin the value it handed out; the others are garbage
-                 anyway. *)
-              nxt.value <- None;
-              if nxt != last then deliver nxt (i + 1)
-        in
-        deliver hd 0;
-        count
-      end
-      else begin
+    let k = try_dequeue_seg t n f in
+    if k >= 0 then k
+    else
+      let b = Sync.Backoff.create () in
+      let rec retry () =
         Sync.Backoff.once b;
-        attempt ()
-      end
-    in
-    attempt ()
+        let k = try_dequeue_seg t n f in
+        if k >= 0 then k else retry ()
+      in
+      retry ()
 
 let dequeue_many t n =
   if n < 0 then invalid_arg "Ms_queue.dequeue_many: negative count";
-  if n = 0 then []
-  else
-    let b = Sync.Backoff.create () in
-    let rec attempt () =
-      let hd = Atomic.get t.head in
-      (* Collect up to [n] nodes after the dummy, helping the tail forward
-         whenever we are about to pass it so it never ends up behind the
-         head. *)
-      let rec collect node count acc =
-        if count = n then (node, acc)
-        else
-          match Atomic.get node.next with
-          | None -> (node, acc)
-          | Some nxt ->
-              let tl = Atomic.get t.tail in
-              if tl == node then ignore (counted_cas t t.tail tl nxt);
-              collect nxt (count + 1) (nxt.value :: acc)
-      in
-      let last, rev_values = collect hd 0 [] in
-      if last == hd then [] (* empty *)
-      else if counted_cas t t.head hd last then begin
-        (* [last] is the new dummy; its value was just handed out. *)
-        last.value <- None;
-        List.rev_map (function Some v -> v | None -> assert false) rev_values
-      end
-      else begin
-        Sync.Backoff.once b;
-        attempt ()
-      end
-    in
-    attempt ()
+  let acc = ref [] in
+  ignore (dequeue_seg t ~n ~f:(fun _ v -> acc := v :: !acc) : int);
+  List.rev !acc
 
-let dequeue t = match dequeue_many t 1 with [] -> None | [ v ] -> Some v | _ -> assert false
+let dequeue t =
+  let r = ref None in
+  ignore (dequeue_seg t ~n:1 ~f:(fun _ v -> r := Some v) : int);
+  !r
 
-let peek t =
-  let hd = Atomic.get t.head in
-  match Atomic.get hd.next with
-  | None -> None
-  | Some n -> n.value
+(* The first node's value is [gone] once a racing dequeuer has delivered
+   it; the head has then moved, so look again. *)
+let rec peek t =
+  match Atomic.get (cell (Atomic.get t.head)) with
+  | Nil -> None
+  | first ->
+      let v = value first in
+      if is_gone v then peek t else Some v
 
-let is_empty t =
-  let hd = Atomic.get t.head in
-  Atomic.get hd.next = None
+let is_empty t = Atomic.get (cell (Atomic.get t.head)) == Nil
 
 let to_list t =
   let rec loop acc node =
-    match Atomic.get node.next with
-    | None -> List.rev acc
-    | Some n ->
-        let acc = match n.value with Some v -> v :: acc | None -> acc in
-        loop acc n
+    match Atomic.get (cell node) with
+    | Nil -> List.rev acc
+    | nxt ->
+        let v = value nxt in
+        loop (if is_gone v then acc else v :: acc) nxt
   in
   loop [] (Atomic.get t.head)
 

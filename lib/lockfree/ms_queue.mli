@@ -8,7 +8,24 @@
     weak- and medium-FL queues rely on (Kogan & Herlihy §4.2).
 
     The queue tolerates a lagging tail: any operation that passes the tail
-    helps swing it forward first, so the standard invariants hold. *)
+    helps swing it forward first, so the standard invariants hold.
+
+    {b Layout.} Each node is one heap block,
+    [Node { mutable next; mutable value }] (3 words), and a link is [Nil]
+    or the successor node itself, so a hop is one load. [next] is read
+    and CASed with [Atomic.get]/[Atomic.compare_and_set] on the node cast
+    to [node Atomic.t] — the field-0 idiom of {!Harris_kv} (see
+    [harris_kv.mli]). It is sound because an ['a Atomic.t] is a one-field
+    tag-0 block and the atomic primitives touch only field 0: [next] is
+    field 0; it is [mutable], so the compiler never shares, lifts or
+    caches the block; it is never read or written except through the
+    cast; and [Node] is the first non-constant constructor, so its block
+    has tag 0 and is scanned by the GC. The value is stored unboxed; once
+    a node is dequeued its value is overwritten with a private sentinel
+    block, so the node left behind as the new dummy pins nothing.
+    Dequeues read values only after their head CAS, and [peek] and
+    [to_list] retry or skip past the sentinel, so it is never returned,
+    even to a reader racing a dequeue. *)
 
 type 'a t
 

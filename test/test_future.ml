@@ -1,5 +1,6 @@
 (* Tests for the Future mechanism: fulfilment, forcing, evaluators,
-   cross-domain handoff. *)
+   cross-domain handoff, the one-block layout's terminal-transition races
+   and its per-future allocation. *)
 
 module Future = Futures.Future
 
@@ -506,6 +507,111 @@ let test_reject_fulfil_race () =
     Alcotest.(check bool) "fate matches winner" fulfilled (Future.is_ready f)
   done
 
+(* ------------------ one-block layout: races, allocation ---------------- *)
+
+(* Fates a racer can observe, as codes comparable across domains. *)
+let fate f =
+  if Future.is_ready f then 1
+  else if Future.is_cancelled f then 2
+  else if Future.is_poisoned f then 3
+  else if Future.is_rejected f then 4
+  else 0
+
+(* Four domains race the four terminal transitions — racer [k] wins with
+   fate [k + 1] — on each of [n] pending futures, meeting at a barrier
+   before each one so all four attempts start together. Exactly one
+   racer wins each future, every racer reads back the same fate after
+   its attempt, and that fate and the fulfilled value survive a full
+   major GC. With [~promote] the futures are moved to the major heap
+   first, so the field-0 CAS stores a young terminal state into an old
+   block and must run the write barrier. *)
+let terminal_race ~promote () =
+  let n = 2_000 and racers = 4 in
+  let futs : string Future.t array = Array.init n (fun _ -> Future.create ()) in
+  if promote then Gc.full_major ();
+  let won = Array.init racers (fun _ -> Array.make n false) in
+  let seen = Array.init racers (fun _ -> Array.make n 0) in
+  let barrier = Sync.Barrier.create racers in
+  let attempt k f i =
+    match k with
+    | 0 -> Future.try_fulfil f (string_of_int i)
+    | 1 -> Future.cancel f
+    | 2 -> Future.poison f Future.Orphaned
+    | _ -> Future.reject f
+  in
+  let race k () =
+    for i = 0 to n - 1 do
+      Sync.Barrier.wait barrier;
+      won.(k).(i) <- attempt k futs.(i) i;
+      seen.(k).(i) <- fate futs.(i)
+    done
+  in
+  let ds = List.init (racers - 1) (fun k -> Domain.spawn (race (k + 1))) in
+  race 0 ();
+  List.iter Domain.join ds;
+  Gc.full_major ();
+  let wins = Array.make racers 0 in
+  Array.iteri
+    (fun i f ->
+      let winners =
+        List.filter (fun k -> won.(k).(i)) (List.init racers Fun.id)
+      in
+      (match winners with
+      | [ k ] ->
+          wins.(k) <- wins.(k) + 1;
+          if fate f <> k + 1 then
+            Alcotest.failf "future %d: racer %d won, fate %d" i k (fate f)
+      | _ ->
+          Alcotest.failf "future %d: %d winners" i (List.length winners));
+      for k = 0 to racers - 1 do
+        if seen.(k).(i) <> fate f then
+          Alcotest.failf "future %d: racer %d read fate %d, final %d" i k
+            seen.(k).(i) (fate f)
+      done;
+      if fate f = 1 && Future.peek f <> Some (string_of_int i) then
+        Alcotest.failf "future %d: wrong value" i)
+    futs;
+  Alcotest.(check int) "every future has one winner" n
+    (Array.fold_left ( + ) 0 wins)
+
+(* Minor words one call allocates, averaged over many calls. *)
+let words_per_call f =
+  for _ = 1 to 10 do
+    f ()
+  done;
+  let calls = 1_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int calls
+
+let no_work () = ()
+
+(* A future is one block plus its [Ready] box: 6 words for a whole
+   create_with -> fulfil -> force life, and for of_value (10 and 8 with a
+   separate atomic cell and an optional evaluator). Skipped under
+   FLDS_FAULTS: armed injection points allocate. *)
+let test_future_allocation () =
+  if Faults.enabled () then Alcotest.skip ();
+  let life () =
+    let f = Future.create_with ~evaluator:no_work in
+    Future.fulfil f (Sys.opaque_identity 7);
+    ignore (Sys.opaque_identity (Future.force f))
+  in
+  let born_ready () =
+    ignore (Sys.opaque_identity (Future.of_value (Sys.opaque_identity 7)))
+  in
+  List.iter
+    (fun (name, words) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.1f words within 6" name words)
+        true (words <= 6.0))
+    [
+      ("create_with -> fulfil -> force", words_per_call life);
+      ("of_value", words_per_call born_ready);
+    ]
+
 let () =
   Alcotest.run "future"
     [
@@ -599,5 +705,14 @@ let () =
             test_cross_domain_force_waits;
           Alcotest.test_case "1000 futures" `Slow
             test_many_futures_one_producer;
+        ] );
+      ( "one-block",
+        [
+          Alcotest.test_case "terminal race (4 domains)" `Quick
+            (terminal_race ~promote:false);
+          Alcotest.test_case "terminal race on promoted futures" `Quick
+            (terminal_race ~promote:true);
+          Alcotest.test_case "allocation per future" `Quick
+            test_future_allocation;
         ] );
     ]

@@ -161,6 +161,64 @@ let test_parallel_batch_contiguity () =
   in
   check_runs all
 
+(* A delivered node's value is overwritten by a private sentinel block so
+   the new dummy does not pin it; readers racing the delivery must never
+   hand that sentinel out. One domain enqueues consecutive ints and
+   dequeues them with [dequeue_seg] in batches of 1-8, keeping the exact
+   list model, while this domain keeps calling [peek] and [to_list]. A
+   head only moves forward, so every [peek] must see an enqueued value no
+   older than the last one seen, and every [to_list] an ascending run of
+   enqueued values. At quiescence [to_list] equals the model. *)
+let test_peek_races_dequeue_seg () =
+  let q = Q.create () in
+  let rounds = 20_000 in
+  let next = Atomic.make 0 and finished = Atomic.make false in
+  let consumer () =
+    let model = Queue.create () and rng = Random.State.make [| 17 |] in
+    for _ = 1 to rounds do
+      let base = Atomic.get next in
+      let k = 1 + Random.State.int rng 8 in
+      Atomic.set next (base + k);
+      Q.enqueue_seg q ~n:k ~get:(fun i -> base + i);
+      for i = 0 to k - 1 do
+        Queue.push (base + i) model
+      done;
+      let m = 1 + Random.State.int rng 8 in
+      let got = Q.dequeue_seg q ~n:m ~f:(fun _ v ->
+        if v <> Queue.pop model then Alcotest.fail "dequeue out of order")
+      in
+      if got <> min m (got + Queue.length model) then
+        Alcotest.fail "dequeue_seg stopped early"
+    done;
+    Atomic.set finished true;
+    List.of_seq (Queue.to_seq model)
+  in
+  let d = Domain.spawn consumer in
+  let enqueued v = v >= 0 && v < Atomic.get next in
+  let last = ref 0 and iters = ref 0 in
+  while not (Atomic.get finished) do
+    incr iters;
+    (match Q.peek q with
+    | Some v ->
+        if not (enqueued v) then Alcotest.failf "peek returned %d" v;
+        if v < !last then Alcotest.failf "peek went back: %d after %d" v !last;
+        last := v
+    | None -> ());
+    if !iters land 63 = 0 then begin
+      let l = Q.to_list q in
+      if not (List.for_all enqueued l) then
+        Alcotest.fail "to_list returned a value never enqueued";
+      ignore
+        (List.fold_left
+           (fun prev v ->
+             if v <= prev then Alcotest.fail "to_list not ascending";
+             v)
+           (-1) l)
+    end
+  done;
+  let model = Domain.join d in
+  Alcotest.(check (list int)) "to_list at quiescence" model (Q.to_list q)
+
 let prop_model =
   QCheck.Test.make ~name:"ms_queue matches list model (sequential)"
     ~count:300
@@ -206,6 +264,37 @@ let prop_model =
         script
       && Q.to_list q = !model)
 
+(* The ring-buffer paths: [enqueue_seg] builds its chain newest-first and
+   [dequeue_seg] hands values out after its head CAS; both must agree
+   with a FIFO model, counts included. *)
+let prop_seg_model =
+  QCheck.Test.make ~name:"ms_queue seg ops match list model" ~count:300
+    QCheck.(small_list (pair bool (small_list small_int)))
+    (fun script ->
+      let q = Q.create () and model = Queue.create () in
+      List.for_all
+        (fun (enq, args) ->
+          if enq then begin
+            let a = Array.of_list args in
+            Q.enqueue_seg q ~n:(Array.length a) ~get:(Array.get a);
+            List.iter (fun v -> Queue.push v model) args;
+            true
+          end
+          else
+            let n = List.length args in
+            let expected =
+              List.init (min n (Queue.length model)) (fun _ -> Queue.pop model)
+            in
+            let got = ref [] and in_order = ref true in
+            let k =
+              Q.dequeue_seg q ~n ~f:(fun i v ->
+                  if i <> List.length !got then in_order := false;
+                  got := v :: !got)
+            in
+            !in_order && k = List.length expected && List.rev !got = expected)
+        script
+      && Q.to_list q = List.of_seq (Queue.to_seq model))
+
 let () =
   Alcotest.run "lockfree-queue"
     [
@@ -217,6 +306,7 @@ let () =
           Alcotest.test_case "mixed batch/single" `Quick
             test_interleaved_batch_single;
           QCheck_alcotest.to_alcotest prop_model;
+          QCheck_alcotest.to_alcotest prop_seg_model;
         ] );
       ( "parallel",
         [
@@ -224,6 +314,8 @@ let () =
             test_parallel_per_producer_order;
           Alcotest.test_case "batch conservation (4 domains)" `Slow
             test_parallel_batch_conservation;
+          Alcotest.test_case "peek races dequeue_seg (2 domains)" `Quick
+            test_peek_races_dequeue_seg;
           Alcotest.test_case "batch contiguity (3 domains)" `Slow
             test_parallel_batch_contiguity;
         ] );

@@ -116,6 +116,20 @@ conformance-smoke:
 		--conformance --min-domains 2 --require op.enq --require op.deq
 	dune exec bench/main.exe -- conformance --quick --assert-service
 
+# Flake rate of the sharded service smoke test ("service sharded
+# smoke"): run it N times, each in its own process and nothing else in
+# the test binary, then print how many runs failed.
+N ?= 200
+smoke-sharded:
+	dune build test/test_workload.exe
+	@fails=0; i=0; \
+	while [ $$i -lt $(N) ]; do \
+		./_build/default/test/test_workload.exe test service 0 \
+			>/dev/null 2>&1 || fails=$$((fails + 1)); \
+		i=$$((i + 1)); \
+	done; \
+	echo "sharded smoke: $$fails of $(N) runs failed"
+
 # Mega-history fuzz: uncapped single-phase programs (about 4,800
 # recorded ops per iteration at the default 2000 steps x 3 threads)
 # certified by the streaming checker — the strong queue, then the weak
@@ -169,4 +183,4 @@ doc:
 clean:
 	dune clean
 
-.PHONY: all test test-force bench-quick bench-full bench-json bench-adapt-json bench-trace chaos bench-chaos-json bench-shard-json bench-service-json conformance-smoke fuzz-mega fuzz-smoke fuzz-soak doc clean
+.PHONY: all test test-force bench-quick bench-full bench-json bench-adapt-json bench-trace chaos bench-chaos-json bench-shard-json bench-service-json conformance-smoke smoke-sharded fuzz-mega fuzz-smoke fuzz-soak doc clean

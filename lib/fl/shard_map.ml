@@ -176,44 +176,54 @@ module Make (K : KEY) = struct
 
   (* ------------------------ owner-side pump ------------------------- *)
 
-  (* Grant and seal-and-ship every bucket another handle requested from
-     us, and renew leases nearing expiry. The [shard.ship] fault point
-     fires *before* the window is detached, so a kill there leaves the
-     window in this handle where [abandon] can poison it; after a
-     successful grant the window rides in the Shipped state and exactly
-     one taker (acker or recoverer) settles it. *)
+  (* Grant bucket [i] to its requester and seal-and-ship our window for
+     it. The [shard.ship] fault point fires *before* the window is
+     detached, so a kill there leaves the window in this handle where
+     [abandon] can poison it; after a successful grant the window rides
+     in the Shipped state and exactly one taker (acker or recoverer)
+     settles it. *)
+  let grant_and_ship h i sh =
+    let t = h.t in
+    Faults.point "shard.grant";
+    if Bucket.try_grant sh.b ~me:h.me ~timeout:t.lease then begin
+      Atomic.incr t.c_grants;
+      Obs.shard_grant ~bucket:i;
+      Faults.point "shard.ship";
+      let pkg = Opbuf.create () in
+      Opbuf.swap pkg h.wins.(i);
+      let n = withdraw pkg in
+      (* Stamp before the publishing CAS: the requester acks as soon as
+         Shipped is visible, and its ack must not sort before this ship
+         in the exported trace. *)
+      let ship_ts = Obs.now_ns () in
+      if Bucket.try_ship sh.b ~me:h.me ~pkg then begin
+        Atomic.incr t.c_ships;
+        Obs.shard_ship ~ts:ship_ts ~bucket:i ~n
+      end
+      else
+        (* The transfer expired under us and a recoverer owns the
+           bucket: keep our window and re-route it normally. *)
+        Opbuf.swap pkg h.wins.(i)
+    end
+
+  (* The owner-side pump, run on every op and in every wait loop: grant
+     and ship every bucket another handle requested from us, and renew
+     leases nearing expiry. Allocation-free when nothing is requested;
+     the clock is read at most once, and only if we own a bucket. *)
   let service h =
     let t = h.t in
-    Array.iteri
-      (fun i sh ->
-        match Bucket.state sh.b with
-        | Bucket.Requested { owner; _ } when owner = h.me ->
-            Faults.point "shard.grant";
-            if Bucket.try_grant sh.b ~me:h.me ~timeout:t.lease then begin
-              Atomic.incr t.c_grants;
-              Obs.shard_grant ~bucket:i;
-              Faults.point "shard.ship";
-              let pkg = Opbuf.create () in
-              Opbuf.swap pkg h.wins.(i);
-              let n = withdraw pkg in
-              (* Stamp before the publishing CAS: the requester acks as
-                 soon as Shipped is visible, and its ack must not sort
-                 before this ship in the exported trace. *)
-              let ship_ts = Obs.now_ns () in
-              if Bucket.try_ship sh.b ~me:h.me ~pkg then begin
-                Atomic.incr t.c_ships;
-                Obs.shard_ship ~ts:ship_ts ~bucket:i ~n
-              end
-              else
-                (* The transfer expired under us and a recoverer owns the
-                   bucket: keep our window and re-route it normally. *)
-                Opbuf.swap pkg h.wins.(i)
-            end
-        | Bucket.Owned { owner; until; _ } when owner = h.me ->
-            if until -. Sync.Mono.now () < t.lease /. 2.0 then
-              ignore (Bucket.try_renew sh.b ~me:h.me ~lease:t.lease)
-        | _ -> ())
-      t.shards
+    let now_ns = ref 0 in
+    for i = 0 to Array.length t.shards - 1 do
+      let sh = t.shards.(i) in
+      match Bucket.state sh.b with
+      | Bucket.Requested { owner; _ } when owner = h.me -> grant_and_ship h i sh
+      | Bucket.Owned { owner; until; _ } when owner = h.me ->
+          (* [now_ns_int] never boxes; [Sync.Mono.now] would, per call. *)
+          if !now_ns = 0 then now_ns := Sync.Mono.now_ns_int ();
+          if until -. (float_of_int !now_ns *. 1e-9) < t.lease /. 2.0 then
+            ignore (Bucket.try_renew sh.b ~me:h.me ~lease:t.lease)
+      | _ -> ()
+    done
 
   (* ------------------------- the flush loop ------------------------- *)
 
@@ -337,6 +347,10 @@ module Make (K : KEY) = struct
     Future.set_evaluator f (fun () ->
         flush h;
         settle h i (fun () -> Future.is_pending f));
+    (* Answer transfer requests now, not at our next flush: a requester
+       spins until we ship. After the push, so a kill at [shard.ship]
+       still finds this op in the window for [abandon]. *)
+    service h;
     f
 
   let insert h k v =

@@ -10,10 +10,14 @@
     {b Cross-shard operations} route through the transfer protocol:
     request, bounded-wait grant ({!Sync.Mono} deadlines, exponential
     backoff on retry), seal-and-ship of the owner's un-applied pending
-    window, ack. While a bucket is in flight it is in {e degraded
-    read-only mode}: pending [find]s (on keys with no earlier pending
-    mutation in the same window) are answered directly against the
-    segment — a legal weak-FL linearization — and mutations wait.
+    window, ack. The owner answers requests on {e every} op it issues,
+    right after the op joins its window, as well as inside every flush
+    and wait loop: an owner that is issuing ops grants within one of
+    them, not at its next flush. While a bucket is in flight it is in
+    {e degraded read-only mode}: pending [find]s (on keys with no
+    earlier pending mutation in the same window) are answered directly
+    against the segment — a legal weak-FL linearization — and mutations
+    wait.
 
     {b Crash recovery.} A dead owner stops renewing, its leases expire,
     and any handle recovers its buckets ({!Bucket.try_recover}) —
@@ -66,7 +70,10 @@ module Make (K : KEY) : sig
   val flush : 'v handle -> unit
   (** Service incoming transfer requests (grant + seal-and-ship), then
       apply every pending window, acquiring or transferring bucket
-      ownership as needed. Futures shipped to another handle are settled
+      ownership as needed. Flushing is not what grants: {!insert},
+      {!find} and {!remove} also grant and ship requested buckets (and
+      renew leases) on every op, so an owner that only issues ops still
+      answers requests. Futures shipped to another handle are settled
       by waiting for the receiver (or recovering it by deadline), so
       after [flush] returns, forcing any previously pending future of
       this handle cannot hang. *)

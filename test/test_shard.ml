@@ -43,7 +43,7 @@ let with_timeout ?(seconds = 60.0) label f =
         match r with Ok v -> v | Error e -> raise e)
     | None ->
         if Sync.Mono.now () > deadline then
-          Alcotest.failf "%s: no recovery within %.0fs (transfer hang)" label
+          Alcotest.failf "%s: no recovery within %gs (transfer hang)" label
             seconds
         else begin
           Unix.sleepf 0.002;
@@ -278,6 +278,52 @@ let test_two_domain_transfer () =
     && s.SM.grants <= s.SM.requests);
   Alcotest.(check int) "nothing left in flight" 0 (SM.in_flight m)
 
+(* The gap between the ops of an owner that never flushes. Unpaced, its
+   window grew by tens of thousands of ops, and on a loaded host a 20 ms
+   lease then sometimes lapsed before the grant. *)
+let pace () =
+  let next = Sync.Mono.now () +. 50e-6 in
+  while Sync.Mono.now () < next do
+    Domain.cpu_relax ()
+  done
+
+(* An owner that only issues ops, and never flushes, still grants: every
+   op services requests, so the requester finishes by ack long before
+   the owner's 1 s lease could run out and force a recovery. *)
+let test_op_time_grant () =
+  let m : int SM.t = SM.create ~buckets:1 ~lease:1.0 ~grant_timeout:0.001 () in
+  let owned = Atomic.make false in
+  let stop = Atomic.make false in
+  let owner =
+    Domain.spawn (fun () ->
+        let h = SM.handle m in
+        ignore (SM.insert h 1 10 : bool Future.t);
+        SM.flush h;
+        Atomic.set owned true;
+        let k = ref 0 in
+        while not (Atomic.get stop) do
+          ignore (SM.find h (!k land 15) : int option Future.t);
+          incr k;
+          pace ()
+        done)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Domain.join owner)
+    (fun () ->
+      while not (Atomic.get owned) do
+        Domain.cpu_relax ()
+      done;
+      let b = SM.handle m in
+      let f = SM.insert b 2 20 in
+      with_timeout ~seconds:0.5 "op-time grant" (fun () -> SM.flush b);
+      Alcotest.(check bool) "requester's op applied" true (force f));
+  let s = SM.stats m in
+  Alcotest.(check bool) "transfer completed by ack" true (s.SM.acks >= 1);
+  Alcotest.(check int) "no recovery needed" 0 s.SM.recovers;
+  Alcotest.(check int) "nothing left in flight" 0 (SM.in_flight m)
+
 (* ------------------------- kills per protocol step -------------------- *)
 
 (* Owner killed at [shard.grant]: the request is never granted, the
@@ -326,7 +372,10 @@ let test_kill_at_grant () =
 (* Owner killed at [shard.ship], with an un-applied window: the window
    stays with the dead owner (the fault point fires before the detach),
    so its abandon must poison the window's futures, and the requester
-   recovers the expired Granted state and proceeds. *)
+   recovers the expired Granted state and proceeds. Every op services
+   requests, so the kill fires inside an op; the victim never flushes
+   after taking ownership, so the future it last published is still in
+   the window then. *)
 let test_kill_at_ship () =
   let m : int SM.t =
     SM.create ~buckets:1 ~lease:0.02 ~grant_timeout:0.001 ()
@@ -345,11 +394,8 @@ let test_kill_at_ship () =
         Atomic.set owned true;
         try
           while not (Atomic.get stop) do
-            (* Keep the window non-empty going into each flush, so a
-               grant+ship services a real window, not an empty one. *)
             Atomic.set last_fut (Some (SM.insert h 1 10));
-            SM.flush h;
-            Domain.cpu_relax ()
+            pace ()
           done
         with Faults.Killed _ -> Atomic.set victim_abandoned (SM.abandon h))
   in
@@ -468,6 +514,8 @@ let () =
             test_degraded_find_during_shed_window;
           Alcotest.test_case "two-domain transfer (2 domains)" `Slow
             test_two_domain_transfer;
+          Alcotest.test_case "owner that only issues ops grants" `Slow
+            test_op_time_grant;
         ] );
       ( "kills",
         [

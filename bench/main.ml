@@ -873,17 +873,7 @@ let shard_bench cfg =
       | _ -> ignore (Shard.remove h k : int option Future.t));
       if i mod 64 = 0 then Shard.flush h
     done;
-    Shard.flush h;
-    (* Linger as a cooperative owner: the grant pump only runs while a
-       handle flushes, so without this, a worker that finishes first
-       stops granting and every late cross-shard request waits out the
-       full lease and recovers instead of transferring. Killed victims
-       never get here — their buckets still take the recovery path. *)
-    let linger = Sync.Mono.now () +. (shard_lease /. 2.0) in
-    while Sync.Mono.now () < linger do
-      Shard.flush h;
-      Domain.cpu_relax ()
-    done
+    Shard.flush h
   in
   let drain m =
     let dh = Shard.handle m in
@@ -963,11 +953,18 @@ let shard_bench cfg =
     cfg.threads;
   print_table table;
   (* Chaos panel: a scripted kill at each protocol step, installed as a
-     Runner plan (and therefore uninstalled on every teardown path). The
-     victim is whichever domain hits the point third; the run must
+     Runner plan (and therefore uninstalled on every teardown path). A
+     lease is held only while a window is applied, so the plan also
+     stalls the first two lease holds at [shard.apply] for a fifth of
+     the lease: another worker's flush requests the bucket meanwhile,
+     the first transfer completes and the second reaches the kill. The
+     victim is whichever domain hits the point second; the run must
      complete with the loss counted, poisoned, and recovered — never a
      hang. Single-thread rows are inert (no second handle, no transfer,
      the kill never fires). *)
+  let stall at =
+    { Faults.pt = "shard.apply"; at; act = Faults.Sleep (shard_lease /. 5.0) }
+  in
   let kill_table =
     Workload.Report.create
       ~title:
@@ -980,7 +977,9 @@ let shard_bench cfg =
   List.iter
     (fun threads ->
       let cellp pt =
-        let plan = [ { Faults.pt; at = 1; act = Faults.Kill } ] in
+        let plan =
+          [ stall 0; stall 1; { Faults.pt; at = 1; act = Faults.Kill } ]
+        in
         let m, _ =
           emit ~impl:("kill-" ^ pt) ~threads
             (shard_measure ~buckets:4 ~plan ~threads ())

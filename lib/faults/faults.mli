@@ -25,11 +25,12 @@
     Current points: [backoff.once], [spinlock.acquire], [future.fulfil],
     [future.force], [future.await], [fc.apply], [fc.pass], [fc.record],
     [elim.exchange], [elim.offer], [elim.park], [conformance.round],
-    [bench.op], [fuzz.step], [tune.epoch], the sharded-map transfer
-    protocol's [shard.grant], [shard.ship], [shard.ack] (each fired
-    immediately before the corresponding ownership CAS, so a kill there
-    is a death {e between} protocol states and the surviving endpoint
-    recovers by lease deadline), and the service layer's
+    [bench.op], [fuzz.step], [tune.epoch], the sharded map's
+    [shard.apply] (a lease just taken, its window not yet applied) and
+    transfer protocol's [shard.grant], [shard.ship], [shard.ack] (each
+    fired immediately before the corresponding ownership CAS, so a kill
+    there is a death {e between} protocol states and the surviving
+    endpoint recovers by lease deadline), and the service layer's
     [service.admit] (every admission decision), [service.shed] (every
     refusal), [service.degrade] (the transition into read-only degraded
     service) and [service.epoch] (top of each admission-controller

@@ -50,6 +50,11 @@ let try_renew t ~me ~lease =
       cas t old (Owned { owner; epoch; until = Sync.Mono.now () +. lease })
   | _ -> false
 
+let try_release t ~me =
+  match Atomic.get t.word with
+  | Owned { owner; epoch; _ } as old when owner = me -> cas t old (Free (epoch + 1))
+  | _ -> false
+
 let try_request t ~me =
   match Atomic.get t.word with
   | Owned { owner; epoch; until } as old when owner <> me ->

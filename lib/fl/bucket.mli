@@ -5,19 +5,26 @@
     {e lease} and may apply pending windows to its key-value segment. The
     whole ownership/transfer state lives in a {e single CAS word} (one
     {!Sync.Padded.atomic}), so every protocol step — acquire, renew,
-    request, grant, ship, ack, recover — is one compare-and-set and the
-    state machine can never be observed mid-transition.
+    release, request, grant, ship, ack, recover — is one compare-and-set
+    and the state machine can never be observed mid-transition.
+
+    A lease is {e transient}: {!Shard_map} takes it ({!try_acquire},
+    {!try_ack} or {!try_recover}) only to apply one window and hands it
+    straight back ({!try_release}), so an uncontended bucket costs one
+    CAS to take and one to give back.
 
     Leases are {e epoch-numbered} and {e deadline-bounded}
     ({!Sync.Mono}): the epoch increments on every change of ownership
-    (acquire from [Free], ack, recover), so a handle that lost its lease
-    can never mistake a successor's state for its own; the deadline makes
-    a dead owner's bucket recoverable — once [until] passes, {e any}
-    handle may usurp via {!try_recover}, and a window lost in flight (a
-    [Shipped] package nobody acked) is returned to the recoverer so its
-    futures can be poisoned rather than silently dropped.
+    (acquire from [Free], release, ack, recover), so a handle that lost
+    its lease can never mistake a successor's state for its own; the
+    deadline makes a dead owner's bucket recoverable — once [until]
+    passes, {e any} handle may usurp via {!try_recover}, and a window
+    lost in flight (a [Shipped] package nobody acked) is returned to the
+    recoverer so its futures can be poisoned rather than silently
+    dropped.
 
-    Transfer protocol (requester [B], owner [A]):
+    Transfer protocol, the path for a request made while [A] holds the
+    lease (requester [B], owner [A]):
     + [B]: {!try_request} — [Owned A → Requested A→B]; [B] then waits,
       bounded by [A]'s lease deadline;
     + [A]: {!try_grant} — [Requested → Granted], stamping a transfer
@@ -28,9 +35,10 @@
       package.
 
     This module is the pure state machine: fault injection
-    ([shard.grant]/[shard.ship]/[shard.ack]) and observability events are
-    emitted by {!Shard_map} at the call sites, so a kill at a protocol
-    point always lands {e between} CAS transitions, never inside one. *)
+    ([shard.apply]/[shard.grant]/[shard.ship]/[shard.ack]) and
+    observability events are emitted by {!Shard_map} at the call sites,
+    so a kill at a protocol point always lands {e between} CAS
+    transitions, never inside one. *)
 
 type 'pkg state =
   | Free of int  (** unowned; the int is the epoch the next owner takes *)
@@ -69,6 +77,10 @@ val try_acquire : _ t -> me:int -> lease:float -> bool
 val try_renew : _ t -> me:int -> lease:float -> bool
 (** Extend my lease; fails unless the state is [Owned] by [me] (an owner
     with a pending request must grant, not renew). *)
+
+val try_release : _ t -> me:int -> bool
+(** [Owned {me; e} → Free (e+1)]. Fails if the state is not [Owned] by
+    [me]; after a [Requested], the holder grants and ships instead. *)
 
 val try_request : _ t -> me:int -> bool
 (** [Owned other → Requested other→me]. Fails if the bucket is free,

@@ -115,15 +115,6 @@ module Make (K : KEY) = struct
   let withdraw w = Window.withdraw_ring ~pending:S.pending w
   let poison_buf w = Window.poison_ring ~poison:S.poison w
 
-  (* Settle a successful recovery: poison the lost window, if any, and
-     return the number of futures poisoned. *)
-  let recovered t ~bucket (r : 'v pkg Bucket.recovery) =
-    let k = match r.Bucket.lost with None -> 0 | Some pkg -> poison_buf pkg in
-    Atomic.incr t.c_recovers;
-    if k > 0 then ignore (Atomic.fetch_and_add t.c_poisoned k);
-    Obs.shard_recover ~bucket ~poisoned:k;
-    k
-
   (* A shipped package is owned by nobody's handle, so if its application
      dies mid-way (a kill at a fulfil point under whole-process chaos)
      the survivors must not hang: poison the un-applied remainder before
@@ -174,7 +165,7 @@ module Make (K : KEY) = struct
       | _ -> ()
     done
 
-  (* ------------------------ owner-side pump ------------------------- *)
+  (* ---------------------- grant, ship, release ---------------------- *)
 
   (* Grant bucket [i] to its requester and seal-and-ship our window for
      it. The [shard.ship] fault point fires *before* the window is
@@ -206,32 +197,37 @@ module Make (K : KEY) = struct
         Opbuf.swap pkg h.wins.(i)
     end
 
-  (* The owner-side pump, run on every op and in every wait loop: grant
-     and ship every bucket another handle requested from us, and renew
-     leases nearing expiry. Allocation-free when nothing is requested;
-     the clock is read at most once, and only if we own a bucket. *)
-  let service h =
-    let t = h.t in
-    let now_ns = ref 0 in
-    for i = 0 to Array.length t.shards - 1 do
-      let sh = t.shards.(i) in
+  (* Hand a held lease back. A request that arrived meanwhile is granted
+     instead, shipping whatever is left of our window (normally nothing). *)
+  let release h i sh =
+    if not (Bucket.try_release sh.b ~me:h.me) then
       match Bucket.state sh.b with
       | Bucket.Requested { owner; _ } when owner = h.me -> grant_and_ship h i sh
-      | Bucket.Owned { owner; until; _ } when owner = h.me ->
-          (* [now_ns_int] never boxes; [Sync.Mono.now] would, per call. *)
-          if !now_ns = 0 then now_ns := Sync.Mono.now_ns_int ();
-          if until -. (float_of_int !now_ns *. 1e-9) < t.lease /. 2.0 then
-            ignore (Bucket.try_renew sh.b ~me:h.me ~lease:t.lease)
       | _ -> ()
-    done
+
+  (* Usurp the bucket if its deadline passed, poison a window lost in
+     flight, and give the lease straight back; returns the futures
+     poisoned (0 if the state was live). *)
+  let recover h i sh =
+    let t = h.t in
+    match Bucket.try_recover sh.b ~me:h.me ~lease:t.lease with
+    | None -> 0
+    | Some r ->
+        let k = match r.Bucket.lost with None -> 0 | Some pkg -> poison_buf pkg in
+        Atomic.incr t.c_recovers;
+        if k > 0 then ignore (Atomic.fetch_and_add t.c_poisoned k);
+        Obs.shard_recover ~bucket:i ~poisoned:k;
+        release h i sh;
+        k
 
   (* ------------------------- the flush loop ------------------------- *)
 
-  (* Apply bucket [i]'s window, acquiring/transferring ownership as
-     needed. Terminates: every wait is bounded by a lease or transfer
-     deadline, after which try_recover succeeds (or another handle's did,
-     changing the state we re-read). [service] runs inside the wait so
-     two handles requesting each other's buckets cannot deadlock. *)
+  (* Apply bucket [i]'s window under a lease taken for this apply alone
+     (acquire, ack or recover) and released right after, so no handle
+     waits while holding a lease and the waits need not grant. Terminates:
+     every wait is bounded by a lease or transfer deadline, after which
+     try_recover succeeds (or another handle's did, changing the state we
+     re-read). *)
   let flush_bucket h i =
     let t = h.t in
     let sh = t.shards.(i) in
@@ -242,70 +238,81 @@ module Make (K : KEY) = struct
       let req_deadline = ref infinity in
       let t0 = ref 0 in
       let rec loop () =
-        if withdraw w > 0 then begin
-          let now = Sync.Mono.now () in
-          match Bucket.state sh.b with
-          | Bucket.Owned { owner; until; _ } when owner = h.me && now < until ->
-              if until -. now < t.lease /. 2.0 then begin
-                if Bucket.try_renew sh.b ~me:h.me ~lease:t.lease then apply ()
-                else wait ()
-              end
-              else apply ()
-          | Bucket.Free _ ->
-              if Bucket.try_acquire sh.b ~me:h.me ~lease:t.lease then apply ()
-              else wait ()
-          | st when Bucket.expired ~now st ->
-              (match Bucket.try_recover sh.b ~me:h.me ~lease:t.lease with
-              | Some r -> ignore (recovered t ~bucket:i r)
-              | None -> ());
-              loop ()
-          | Bucket.Owned _ ->
-              (* live foreign lease: read-only service, then request *)
-              degraded_serve h i;
-              if withdraw w > 0 then begin
-                if Bucket.try_request sh.b ~me:h.me then begin
-                  Atomic.incr t.c_requests;
-                  let s = Obs.shard_request ~bucket:i in
-                  if !t0 = 0 then t0 := s;
-                  req_deadline :=
-                    Sync.Mono.now ()
-                    +. (t.grant_timeout *. float_of_int (1 lsl min !attempt 8))
-                end;
-                wait ()
-              end
-          | Bucket.Requested { to_; _ } when to_ = h.me ->
-              if now > !req_deadline then begin
-                (* the grant did not come in time: back off exponentially
-                   (the lease deadline still bounds the total wait) *)
-                Atomic.incr t.c_retries;
-                incr attempt;
+        let now = Sync.Mono.now () in
+        match Bucket.state sh.b with
+        | Bucket.Owned { owner; _ } | Bucket.Requested { owner; _ }
+          when owner = h.me ->
+            held ()
+        | _ when withdraw w = 0 -> ()
+        | Bucket.Free _ ->
+            if Bucket.try_acquire sh.b ~me:h.me ~lease:t.lease then held ()
+            else wait ()
+        | st when Bucket.expired ~now st ->
+            ignore (recover h i sh : int);
+            loop ()
+        | Bucket.Owned _ ->
+            (* live foreign lease: read-only service, then request *)
+            degraded_serve h i;
+            if withdraw w > 0 then begin
+              if Bucket.try_request sh.b ~me:h.me then begin
+                Atomic.incr t.c_requests;
+                let s = Obs.shard_request ~bucket:i in
+                if !t0 = 0 then t0 := s;
                 req_deadline :=
-                  now +. (t.grant_timeout *. float_of_int (1 lsl min !attempt 8))
+                  Sync.Mono.now ()
+                  +. (t.grant_timeout *. float_of_int (1 lsl min !attempt 8))
               end;
               wait ()
-          | Bucket.Shipped { to_; _ } when to_ = h.me -> (
-              Faults.point "shard.ack";
-              match Bucket.try_ack sh.b ~me:h.me ~lease:t.lease with
-              | Some pkg ->
-                  Atomic.incr t.c_acks;
-                  Obs.shard_ack ~bucket:i ~t0:!t0;
-                  apply_pkg t sh.kv pkg;
-                  loop ()
-              | None -> wait ())
-          | Bucket.Granted { to_; _ } when to_ = h.me -> wait ()
-          | Bucket.Requested _ | Bucket.Granted _ | Bucket.Shipped _ ->
-              (* a transfer between other handles: degraded reads only *)
-              degraded_serve h i;
-              if withdraw w > 0 then wait ()
-        end
-      and apply () =
-        (* Applied in place: if this domain dies mid-apply, the window is
-           still attached and [abandon] poisons the remainder. *)
-        let n = S.apply sh.kv w in
-        Opbuf.clear w;
-        Obs.splice ~kind:Obs.Event.k_shard ~n
+            end
+        | Bucket.Requested { to_; _ } when to_ = h.me ->
+            if now > !req_deadline then begin
+              (* the grant did not come in time: back off exponentially
+                 (the lease deadline still bounds the total wait) *)
+              Atomic.incr t.c_retries;
+              incr attempt;
+              req_deadline :=
+                now +. (t.grant_timeout *. float_of_int (1 lsl min !attempt 8))
+            end;
+            wait ()
+        | Bucket.Shipped { to_; _ } when to_ = h.me -> (
+            Faults.point "shard.ack";
+            match Bucket.try_ack sh.b ~me:h.me ~lease:t.lease with
+            | Some pkg ->
+                Atomic.incr t.c_acks;
+                Obs.shard_ack ~bucket:i ~t0:!t0;
+                apply_pkg t sh.kv pkg;
+                loop ()
+            | None -> wait ())
+        | Bucket.Granted { to_; _ } when to_ = h.me -> wait ()
+        | Bucket.Requested _ | Bucket.Granted _ | Bucket.Shipped _ ->
+            (* a transfer between other handles: degraded reads only *)
+            degraded_serve h i;
+            if withdraw w > 0 then wait ()
+      and held () =
+        (* We hold the lease. A request that came in while we took it is
+           answered by shipping the window instead of applying it. *)
+        Faults.point "shard.apply";
+        match Bucket.state sh.b with
+        | Bucket.Requested { owner; _ } when owner = h.me ->
+            grant_and_ship h i sh;
+            loop ()
+        | Bucket.Owned { owner; until; _ } when owner = h.me ->
+            if withdraw w = 0 then release h i sh
+            else if
+              until -. Sync.Mono.now () < t.lease /. 2.0
+              && not (Bucket.try_renew sh.b ~me:h.me ~lease:t.lease)
+            then loop ()
+            else begin
+              (* Applied in place: if this domain dies mid-apply, the
+                 window is still attached and [abandon] poisons the
+                 remainder. *)
+              let n = S.apply sh.kv w in
+              Opbuf.clear w;
+              Obs.splice ~kind:Obs.Event.k_shard ~n;
+              release h i sh
+            end
+        | _ -> loop ()
       and wait () =
-        service h;
         Sync.Backoff.once bo;
         loop ()
       in
@@ -313,30 +320,20 @@ module Make (K : KEY) = struct
     end
 
   let flush h =
-    service h;
     for i = 0 to Array.length h.wins - 1 do
       flush_bucket h i
     done
 
   (* After a flush, a future of ours can still be pending only because
      its window was sealed-and-shipped to another handle. Wait for the
-     receiver to apply it, pumping deadline recovery (and servicing our
-     own incoming requests) so a dead receiver poisons rather than
-     hangs us. *)
+     receiver to apply it, pumping deadline recovery so a dead receiver
+     poisons rather than hangs us. *)
   let settle h i f_pending =
     if f_pending () then begin
-      let t = h.t in
-      let sh = t.shards.(i) in
+      let sh = h.t.shards.(i) in
       let bo = Sync.Backoff.create () in
       while f_pending () do
-        let now = Sync.Mono.now () in
-        (match Bucket.state sh.b with
-        | st when Bucket.expired ~now st -> (
-            match Bucket.try_recover sh.b ~me:h.me ~lease:t.lease with
-            | Some r -> ignore (recovered t ~bucket:i r)
-            | None -> ())
-        | _ -> ());
-        service h;
+        ignore (recover h i sh : int);
         Sync.Backoff.once bo
       done
     end
@@ -347,10 +344,6 @@ module Make (K : KEY) = struct
     Future.set_evaluator f (fun () ->
         flush h;
         settle h i (fun () -> Future.is_pending f));
-    (* Answer transfer requests now, not at our next flush: a requester
-       spins until we ship. After the push, so a kill at [shard.ship]
-       still finds this op in the window for [abandon]. *)
-    service h;
     f
 
   let insert h k v =
@@ -381,15 +374,7 @@ module Make (K : KEY) = struct
     !n
 
   let recover_all h =
-    let t = h.t in
     let n = ref 0 in
-    Array.iteri
-      (fun i sh ->
-        let now = Sync.Mono.now () in
-        if Bucket.expired ~now (Bucket.state sh.b) then
-          match Bucket.try_recover sh.b ~me:h.me ~lease:t.lease with
-          | Some r -> n := !n + recovered t ~bucket:i r
-          | None -> ())
-      t.shards;
+    Array.iteri (fun i sh -> n := !n + recover h i sh) h.t.shards;
     !n
 end

@@ -5,30 +5,34 @@
     epoch-numbered lease ({!Bucket}). A handle's operations accumulate in
     per-bucket {!Opbuf} pending windows and return futures; a flush
     applies each window in one sorted position-resumed traversal of the
-    bucket's segment — but only while holding that bucket's lease.
+    bucket's segment — but only while holding that bucket's lease, which
+    it takes for that one apply and hands straight back
+    ({!Bucket.try_release}).
 
-    {b Cross-shard operations} route through the transfer protocol:
-    request, bounded-wait grant ({!Sync.Mono} deadlines, exponential
-    backoff on retry), seal-and-ship of the owner's un-applied pending
-    window, ack. The owner answers requests on {e every} op it issues,
-    right after the op joins its window, as well as inside every flush
-    and wait loop: an owner that is issuing ops grants within one of
-    them, not at its next flush. While a bucket is in flight it is in
-    {e degraded read-only mode}: pending [find]s (on keys with no
-    earlier pending mutation in the same window) are answered directly
-    against the segment — a legal weak-FL linearization — and mutations
-    wait.
+    {b Cross-shard operations} meet a held lease only while another
+    handle applies, and route through the transfer protocol: request,
+    bounded-wait grant ({!Sync.Mono} deadlines, exponential backoff on
+    retry), seal-and-ship of the holder's un-applied pending window, ack.
+    The holder looks for a request right after taking the lease (fault
+    point [shard.apply]), shipping its whole window, and again at
+    release, shipping what is left. No handle waits while holding a
+    lease, so the waits never need to grant. While a bucket is in flight
+    it is in {e degraded read-only mode}: pending [find]s (on keys with
+    no earlier pending mutation in the same window) are answered
+    directly against the segment — a legal weak-FL linearization — and
+    mutations wait.
 
     {b Crash recovery.} A dead owner stops renewing, its leases expire,
     and any handle recovers its buckets ({!Bucket.try_recover}) —
     including buckets mid-transfer: a window lost in flight is returned
     to the recoverer and every un-applied future in it is poisoned
     {!Futures.Future.Orphaned}, never silently dropped. A dead handle's
-    un-shipped windows are poisoned by {!abandon} (the PR-3 runner
+    un-shipped windows are poisoned by {!abandon} (the runner's
     abandon/orphan machinery). Fault points [shard.grant], [shard.ship]
-    and [shard.ack] fire before the corresponding protocol CAS, so chaos
-    can kill either endpoint at every step and the survivor recovers by
-    deadline.
+    and [shard.ack] fire before the corresponding protocol CAS, and
+    [shard.apply] while a lease is held before its window is applied, so
+    chaos can kill either endpoint at every step and the survivor
+    recovers by deadline.
 
     Refinement: transfers move only {e ownership}; the segments and the
     pending windows are untouched, so every transfer is a no-op against
@@ -68,26 +72,25 @@ module Make (K : KEY) : sig
   val remove : 'v handle -> K.t -> 'v option Futures.Future.t
 
   val flush : 'v handle -> unit
-  (** Service incoming transfer requests (grant + seal-and-ship), then
-      apply every pending window, acquiring or transferring bucket
-      ownership as needed. Flushing is not what grants: {!insert},
-      {!find} and {!remove} also grant and ship requested buckets (and
-      renew leases) on every op, so an owner that only issues ops still
-      answers requests. Futures shipped to another handle are settled
-      by waiting for the receiver (or recovering it by deadline), so
-      after [flush] returns, forcing any previously pending future of
-      this handle cannot hang. *)
+  (** Apply every pending window, each under its bucket's lease taken
+      for that apply (or shipped to a handle that requested the bucket
+      meanwhile). The handle holds no lease once [flush] returns.
+      Futures shipped to another handle are settled by waiting for the
+      receiver (or recovering it by deadline), so after [flush] returns,
+      forcing any previously pending future of this handle cannot
+      hang. *)
 
   val abandon : 'v handle -> int
   (** Poison every un-applied future in the handle's windows
       ([Future.Orphaned]) and empty them; returns the number poisoned.
       The owner-death recovery hook ({!Workload} runner abandon
-      machinery). Leases the handle held are left to expire and be
-      recovered by survivors. *)
+      machinery). A lease held by a handle that died mid-flush is left
+      to expire and be recovered by survivors. *)
 
   val recover_all : 'v handle -> int
   (** One recovery sweep: usurp every bucket whose deadline expired,
-      poisoning windows lost in flight; returns futures poisoned. Call
+      poisoning windows lost in flight, and release it again; returns
+      futures poisoned. Call
       in a loop (leases must first expire) to drain a torn-down map —
       {!in_flight} reaching 0 is the fixpoint. *)
 

@@ -514,8 +514,8 @@ let fclease_run (prog : P.t) =
   { verdict; ops = n + k; fsc_witness = false }
 
 (* Sharded-map oracle: Bind/Lookup/Unbind run against a 2-bucket store
-   with leases short enough that ownership transfers happen constantly;
-   plans may kill at [shard.grant]/[shard.ship]/[shard.ack] (and the
+   with short leases; plans may stall or kill at [shard.apply] (holding
+   a lease) and at [shard.grant]/[shard.ship]/[shard.ack] (and the
    flat-combining points, which simply never fire here). A killed worker
    abandons its handle — the domain is "dead", its windows poisoned, its
    leases left to expire — and the drain below plays the surviving

@@ -25,6 +25,7 @@ let stall_points =
     "elim.park";
     "spinlock.acquire";
     "backoff.once";
+    "shard.apply";
     "shard.grant";
     "shard.ship";
     "shard.ack";
@@ -46,6 +47,7 @@ let kill_points =
   [
     "fc.pass";
     "fc.record";
+    "shard.apply";
     "shard.grant";
     "shard.ship";
     "shard.ack";

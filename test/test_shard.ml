@@ -3,7 +3,12 @@
    lease-expiry recovery, a live two-domain ownership transfer, scripted
    owner/requester kills at each protocol fault point (shard.grant,
    shard.ship, shard.ack) with a hard no-hang deadline, and the
-   refinement check against the centralized map spec. *)
+   refinement check against the centralized map spec.
+
+   A handle holds a lease only while it applies one window, so every
+   test that needs a held lease makes one: a scripted stall at
+   [shard.apply] (or inside the apply) keeps the holder there while the
+   other handle issues its request. *)
 
 module Future = Futures.Future
 module B = Fl.Bucket
@@ -52,11 +57,28 @@ let with_timeout ?(seconds = 60.0) label f =
   in
   poll ()
 
+(* Stall hit [at] of [shard.apply], counted from now (the holder has
+   just taken a lease, its window not yet applied), for [seconds],
+   raising [flag] first. *)
+let stall_apply ?(at = 0) ~seconds flag =
+  Faults.reset_counters ();
+  Faults.on "shard.apply" (fun k ->
+      if k = at then begin
+        Atomic.set flag true;
+        Faults.Sleep seconds
+      end
+      else Faults.Nothing)
+
+let await flag =
+  while not (Atomic.get flag) do
+    Domain.cpu_relax ()
+  done
+
 (* ------------------------------ bucket ------------------------------- *)
 
 (* The full transfer protocol, one CAS at a time: acquire → renew →
-   request → grant → ship → ack, with every wrong-party step refused and
-   the epoch bumped exactly on the change of ownership. *)
+   request → grant → ship → ack → release, with every wrong-party step
+   refused and the epoch bumped exactly on the change of ownership. *)
 let test_bucket_protocol () =
   let b : string B.t = B.create ~id:0 in
   (match B.state b with
@@ -97,7 +119,20 @@ let test_bucket_protocol () =
   | B.Owned { owner = 2; epoch = 1; _ } -> ()
   | _ -> Alcotest.fail "ack did not hand ownership to 2 at epoch 1");
   Alcotest.(check bool) "live state not recoverable" true
-    (B.try_recover b ~me:3 ~lease:60.0 = None)
+    (B.try_recover b ~me:3 ~lease:60.0 = None);
+  Alcotest.(check bool) "release by non-owner refused" false
+    (B.try_release b ~me:1);
+  Alcotest.(check bool) "release" true (B.try_release b ~me:2);
+  (match B.state b with
+  | B.Free 2 -> ()
+  | _ -> Alcotest.fail "release did not free the bucket at epoch 2");
+  Alcotest.(check bool) "release of a free bucket refused" false
+    (B.try_release b ~me:2);
+  Alcotest.(check bool) "acquire after release" true
+    (B.try_acquire b ~me:3 ~lease:60.0);
+  Alcotest.(check bool) "request" true (B.try_request b ~me:1);
+  Alcotest.(check bool) "release while requested refused" false
+    (B.try_release b ~me:3)
 
 (* A dead owner stops renewing: once the deadline passes, any handle may
    usurp, and a package nobody acked comes back to the recoverer. *)
@@ -159,26 +194,48 @@ let test_shard_bindings () =
   Alcotest.(check int) "bucket count" 2 (SM.buckets m);
   Alcotest.(check int) "size" 5 (SM.size m)
 
-(* One domain, two handles: A owns the only bucket and never services, so
-   B's flush must serve its find in degraded read-only mode immediately,
-   then wait out A's lease and recover — never hang, never lose its
-   mutation. *)
+(* A holder that stalls past its lease on the only bucket: [a] applies
+   key 1, then takes the lease for a second window and sleeps at
+   [shard.apply] (on its own domain) far past its 20 ms lease. [body]
+   runs while it is held, and [a]'s domain is joined after. *)
+let with_stalled_holder m body =
+  let holding = Atomic.make false in
+  let a = SM.handle m in
+  ignore (SM.insert a 1 10 : bool Future.t);
+  SM.flush a;
+  stall_apply ~seconds:0.2 holding;
+  let holder =
+    Domain.spawn (fun () ->
+        ignore (SM.insert a 3 30 : bool Future.t);
+        SM.flush a)
+  in
+  Fun.protect
+    ~finally:(fun () -> Domain.join holder)
+    (fun () ->
+      await holding;
+      body ())
+
+(* Two handles on one bucket: [a] holds the lease and does not answer,
+   so [b]'s flush must serve its find in degraded read-only mode
+   immediately, then wait out [a]'s lease and recover — never hang,
+   never lose its mutation. *)
 let test_degraded_find_and_expiry_recovery () =
   let m : int SM.t =
     SM.create ~buckets:1 ~lease:0.02 ~grant_timeout:0.001 ()
   in
-  let a = SM.handle m in
-  ignore (SM.insert a 1 10 : bool Future.t);
-  SM.flush a;
-  let b = SM.handle m in
-  let f_find = SM.find b 1 in
-  let f_ins = SM.insert b 2 20 in
-  with_timeout "degraded flush" (fun () -> SM.flush b);
-  Alcotest.(check (option int)) "degraded find answered" (Some 10)
-    (force f_find);
-  Alcotest.(check bool) "mutation applied after recovery" true (force f_ins);
+  with_stalled_holder m (fun () ->
+      let b = SM.handle m in
+      let f_find = SM.find b 1 in
+      let f_ins = SM.insert b 2 20 in
+      with_timeout "degraded flush" (fun () -> SM.flush b);
+      Alcotest.(check (option int)) "degraded find answered" (Some 10)
+        (force f_find);
+      Alcotest.(check bool) "mutation applied after recovery" true
+        (force f_ins));
   Alcotest.(check (option int)) "segment untouched by recovery" (Some 10)
     (SM.get m 1);
+  Alcotest.(check (option int)) "the stalled holder's window applied later"
+    (Some 30) (SM.get m 3);
   let s = SM.stats m in
   Alcotest.(check bool) "a request was issued" true (s.SM.requests >= 1);
   Alcotest.(check bool) "the find was served degraded" true
@@ -187,11 +244,10 @@ let test_degraded_find_and_expiry_recovery () =
     (s.SM.recovers >= 1)
 
 (* Degraded reads during a shed window: with the overload controller at
-   Shed and a bucket still owned by a handle that never services (in
-   flight from the requester's point of view), finds that the admission
-   gate lets through must be answered from the degraded read-only path —
-   and both the store's stats and the global obs metrics must count
-   them. *)
+   Shed and a bucket held by a handle that does not answer, finds that
+   the admission gate lets through must be answered from the degraded
+   read-only path — and both the store's stats and the global obs
+   metrics must count them. *)
 let test_degraded_find_during_shed_window () =
   let obs_was = Obs.enabled () in
   Obs.set_enabled true;
@@ -204,28 +260,26 @@ let test_degraded_find_during_shed_window () =
       let m : int SM.t =
         SM.create ~buckets:1 ~lease:0.02 ~grant_timeout:0.001 ()
       in
-      let a = SM.handle m in
-      ignore (SM.insert a 1 10 : bool Future.t);
-      SM.flush a;
-      (* [a] owns the only bucket and goes quiet; [b]'s finds can only be
-         answered degraded until the lease expires. *)
       let b = SM.handle m in
       let found = ref 0 in
       let shed = ref 0 in
-      for _ = 1 to 100 do
-        if Workload.Overload.admit ov then begin
-          let f = SM.find b 1 in
-          with_timeout "shed-window flush" (fun () -> SM.flush b);
-          Alcotest.(check (option int)) "degraded find answered" (Some 10)
-            (force f);
-          incr found
-        end
-        else incr shed
-      done;
+      (* [b]'s finds can only be answered degraded until the stalled
+         holder's lease expires. *)
+      with_stalled_holder m (fun () ->
+          for _ = 1 to 100 do
+            if Workload.Overload.admit ov then begin
+              let f = SM.find b 1 in
+              with_timeout "shed-window flush" (fun () -> SM.flush b);
+              Alcotest.(check (option int)) "degraded find answered" (Some 10)
+                (force f);
+              incr found
+            end
+            else incr shed
+          done);
       Alcotest.(check bool) "the window shed some arrivals" true (!shed > 0);
       Alcotest.(check bool) "admitted finds were served" true (!found > 0);
-      (* Only finds inside the owner's lease are served degraded; once it
-         expires, [b] recovers ownership and serves normally — so the
+      (* Only finds inside the holder's lease are served degraded; once
+         it expires, [b] recovers ownership and serves normally — so the
          counters need at least one degraded serve, not one per find. *)
       let s = SM.stats m in
       Alcotest.(check bool) "stats counted degraded serves" true
@@ -238,93 +292,97 @@ let test_degraded_find_during_shed_window () =
       Alcotest.(check bool) "obs counted the sheds" true
         (d.Obs.Metrics.service_shed >= !shed))
 
-(* Live transfer: the owner keeps servicing (flushing) while the second
-   domain's flush routes request → grant → ship → ack; the transfer must
-   complete by protocol, not by waiting out the lease. *)
+(* Live transfer: the owner stalls at [shard.apply] holding a non-empty
+   window while the second domain's flush requests the bucket; the
+   owner's pre-apply check then routes grant → ship → ack, and the
+   requester applies both windows. The transfer must complete by
+   protocol, not by waiting out the lease. *)
 let test_two_domain_transfer () =
-  let m : int SM.t =
-    SM.create ~buckets:2 ~lease:0.05 ~grant_timeout:0.001 ()
-  in
-  let owner_ready = Atomic.make false in
-  let stop = Atomic.make false in
+  let m : int SM.t = SM.create ~buckets:2 ~lease:1.0 ~grant_timeout:0.001 () in
+  let holding = Atomic.make false in
+  stall_apply ~seconds:0.05 holding;
   let owner =
     Domain.spawn (fun () ->
         let h = SM.handle m in
-        for k = 0 to 19 do
-          ignore (SM.insert h k k : bool Future.t)
-        done;
+        let fs = List.init 20 (fun k -> SM.insert h k k) in
         SM.flush h;
-        Atomic.set owner_ready true;
-        while not (Atomic.get stop) do
-          SM.flush h;
-          Domain.cpu_relax ()
-        done)
+        List.for_all force fs)
   in
-  while not (Atomic.get owner_ready) do
-    Domain.cpu_relax ()
-  done;
+  await holding;
   let b = SM.handle m in
   let f = SM.insert b 100 1000 in
   with_timeout "transfer flush" (fun () -> SM.flush b);
-  Atomic.set stop true;
-  Domain.join owner;
+  Alcotest.(check bool) "owner's shipped ops applied" true (Domain.join owner);
   Alcotest.(check bool) "cross-shard insert applied" true (force f);
   Alcotest.(check (option int)) "binding visible" (Some 1000) (SM.get m 100);
   let s = SM.stats m in
   Alcotest.(check bool) "transfer completed by ack" true (s.SM.acks >= 1);
+  Alcotest.(check int) "no recovery needed" 0 s.SM.recovers;
   Alcotest.(check bool) "protocol counters monotone" true
     (s.SM.acks <= s.SM.ships
     && s.SM.ships <= s.SM.grants
     && s.SM.grants <= s.SM.requests);
   Alcotest.(check int) "nothing left in flight" 0 (SM.in_flight m)
 
-(* The gap between the ops of an owner that never flushes. Unpaced, its
-   window grew by tens of thousands of ops, and on a loaded host a 20 ms
-   lease then sometimes lapsed before the grant. *)
-let pace () =
-  let next = Sync.Mono.now () +. 50e-6 in
-  while Sync.Mono.now () < next do
-    Domain.cpu_relax ()
-  done
-
-(* An owner that only issues ops, and never flushes, still grants: every
-   op services requests, so the requester finishes by ack long before
-   the owner's 1 s lease could run out and force a recovery. *)
-let test_op_time_grant () =
+(* A request that lands after the holder's pre-apply check, while its
+   window is being applied (a stall at the apply's first fulfil), is
+   granted at release: the holder ships its now-empty window and the
+   requester finishes by ack, long before the 1 s lease could run out
+   and force a recovery. *)
+let test_grant_at_release () =
   let m : int SM.t = SM.create ~buckets:1 ~lease:1.0 ~grant_timeout:0.001 () in
-  let owned = Atomic.make false in
-  let stop = Atomic.make false in
+  let applying = Atomic.make false in
+  Faults.on "future.fulfil" (fun k ->
+      if k = 0 then begin
+        Atomic.set applying true;
+        Faults.Sleep 0.05
+      end
+      else Faults.Nothing);
   let owner =
     Domain.spawn (fun () ->
         let h = SM.handle m in
         ignore (SM.insert h 1 10 : bool Future.t);
-        SM.flush h;
-        Atomic.set owned true;
-        let k = ref 0 in
-        while not (Atomic.get stop) do
-          ignore (SM.find h (!k land 15) : int option Future.t);
-          incr k;
-          pace ()
-        done)
+        SM.flush h)
   in
   Fun.protect
-    ~finally:(fun () ->
-      Atomic.set stop true;
-      Domain.join owner)
+    ~finally:(fun () -> Domain.join owner)
     (fun () ->
-      while not (Atomic.get owned) do
-        Domain.cpu_relax ()
-      done;
+      await applying;
       let b = SM.handle m in
       let f = SM.insert b 2 20 in
-      with_timeout ~seconds:0.5 "op-time grant" (fun () -> SM.flush b);
+      with_timeout ~seconds:0.5 "grant at release" (fun () -> SM.flush b);
       Alcotest.(check bool) "requester's op applied" true (force f));
   let s = SM.stats m in
   Alcotest.(check bool) "transfer completed by ack" true (s.SM.acks >= 1);
   Alcotest.(check int) "no recovery needed" 0 s.SM.recovers;
+  Alcotest.(check (option int)) "holder's op applied" (Some 10) (SM.get m 1);
   Alcotest.(check int) "nothing left in flight" 0 (SM.in_flight m)
 
 (* ------------------------- kills per protocol step -------------------- *)
+
+(* A victim owner on its own domain: it applies key 1, then takes the
+   lease for a window holding [insert 3 30] and stalls at [shard.apply]
+   until a request is in. Its pre-apply check then grants and ships, and
+   a kill scripted at [shard.grant] or [shard.ship] fires there. Returns
+   the window op's future, the victim's abandon count (-1 if never
+   killed) and the domain. *)
+let spawn_stalled_victim m =
+  let holding = Atomic.make false in
+  let abandoned = Atomic.make (-1) in
+  let fut : bool Future.t option Atomic.t = Atomic.make None in
+  stall_apply ~at:1 ~seconds:0.05 holding;
+  let victim =
+    Domain.spawn (fun () ->
+        let h = SM.handle m in
+        ignore (SM.insert h 1 10 : bool Future.t);
+        SM.flush h;
+        try
+          Atomic.set fut (Some (SM.insert h 3 30));
+          SM.flush h
+        with Faults.Killed _ -> Atomic.set abandoned (SM.abandon h))
+  in
+  await holding;
+  (fut, abandoned, victim)
 
 (* Owner killed at [shard.grant]: the request is never granted, the
    requester waits out the dead owner's lease and recovers, and its own
@@ -332,36 +390,22 @@ let test_op_time_grant () =
    and recoveries move ownership only). *)
 let test_kill_at_grant () =
   let m : int SM.t =
-    SM.create ~buckets:1 ~lease:0.02 ~grant_timeout:0.001 ()
+    SM.create ~buckets:1 ~lease:0.2 ~grant_timeout:0.001 ()
   in
   Faults.on "shard.grant" (fun k ->
       if k = 0 then Faults.Kill else Faults.Nothing);
-  let owned = Atomic.make false in
-  let stop = Atomic.make false in
-  let victim_abandoned = Atomic.make (-1) in
-  let victim =
-    Domain.spawn (fun () ->
-        let h = SM.handle m in
-        ignore (SM.insert h 1 10 : bool Future.t);
-        SM.flush h;
-        Atomic.set owned true;
-        try
-          while not (Atomic.get stop) do
-            SM.flush h;
-            Domain.cpu_relax ()
-          done
-        with Faults.Killed _ -> Atomic.set victim_abandoned (SM.abandon h))
-  in
-  while not (Atomic.get owned) do
-    Domain.cpu_relax ()
-  done;
+  let fut, abandoned, victim = spawn_stalled_victim m in
   let b = SM.handle m in
   let f = SM.insert b 2 20 in
   with_timeout "kill at grant" (fun () -> SM.flush b);
-  Atomic.set stop true;
   Domain.join victim;
-  Alcotest.(check bool) "victim was killed servicing the grant" true
-    (Atomic.get victim_abandoned >= 0);
+  Alcotest.(check bool) "abandon poisoned the held window" true
+    (Atomic.get abandoned >= 1);
+  (match Atomic.get fut with
+  | None -> Alcotest.fail "victim never issued its window op"
+  | Some fo ->
+      Alcotest.check_raises "window op raises Orphaned"
+        (Future.Broken Future.Orphaned) (fun () -> ignore (force fo : bool)));
   Alcotest.(check bool) "requester's op applied after recovery" true (force f);
   Alcotest.(check (option int)) "owner's applied binding survives" (Some 10)
     (SM.get m 1);
@@ -372,44 +416,21 @@ let test_kill_at_grant () =
 (* Owner killed at [shard.ship], with an un-applied window: the window
    stays with the dead owner (the fault point fires before the detach),
    so its abandon must poison the window's futures, and the requester
-   recovers the expired Granted state and proceeds. Every op services
-   requests, so the kill fires inside an op; the victim never flushes
-   after taking ownership, so the future it last published is still in
-   the window then. *)
+   recovers the expired Granted state and proceeds. *)
 let test_kill_at_ship () =
   let m : int SM.t =
-    SM.create ~buckets:1 ~lease:0.02 ~grant_timeout:0.001 ()
+    SM.create ~buckets:1 ~lease:0.2 ~grant_timeout:0.001 ()
   in
   Faults.on "shard.ship" (fun k ->
       if k = 0 then Faults.Kill else Faults.Nothing);
-  let owned = Atomic.make false in
-  let stop = Atomic.make false in
-  let victim_abandoned = Atomic.make (-1) in
-  let last_fut : bool Future.t option Atomic.t = Atomic.make None in
-  let victim =
-    Domain.spawn (fun () ->
-        let h = SM.handle m in
-        ignore (SM.insert h 1 10 : bool Future.t);
-        SM.flush h;
-        Atomic.set owned true;
-        try
-          while not (Atomic.get stop) do
-            Atomic.set last_fut (Some (SM.insert h 1 10));
-            pace ()
-          done
-        with Faults.Killed _ -> Atomic.set victim_abandoned (SM.abandon h))
-  in
-  while not (Atomic.get owned) do
-    Domain.cpu_relax ()
-  done;
+  let fut, abandoned, victim = spawn_stalled_victim m in
   let b = SM.handle m in
   let f = SM.insert b 2 20 in
   with_timeout "kill at ship" (fun () -> SM.flush b);
-  Atomic.set stop true;
   Domain.join victim;
   Alcotest.(check bool) "abandon poisoned the un-shipped window" true
-    (Atomic.get victim_abandoned >= 1);
-  (match Atomic.get last_fut with
+    (Atomic.get abandoned >= 1);
+  (match Atomic.get fut with
   | None -> Alcotest.fail "victim never issued its window op"
   | Some fo ->
       Alcotest.check_raises "window op raises Orphaned"
@@ -423,22 +444,25 @@ let test_kill_at_ship () =
   Alcotest.(check int) "nothing left in flight" 0 (SM.in_flight m)
 
 (* Requester killed at [shard.ack]: the package is stuck in Shipped with
-   nobody to take it. The surviving owner (or any handle) must recover it
-   by deadline and poison the lost window's futures — the exact
-   lost-update the protocol exists to prevent. *)
+   nobody to take it. Any surviving handle must recover it by deadline
+   and poison the lost window's futures — the exact lost-update the
+   protocol exists to prevent. *)
 let test_kill_at_ack () =
   let m : int SM.t =
-    SM.create ~buckets:1 ~lease:0.02 ~grant_timeout:0.001 ()
+    SM.create ~buckets:1 ~lease:0.2 ~grant_timeout:0.001 ()
   in
   Faults.on "shard.ack" (fun k ->
       if k = 0 then Faults.Kill else Faults.Nothing);
   let a = SM.handle m in
   ignore (SM.insert a 1 10 : bool Future.t);
   SM.flush a;
+  let holding = Atomic.make false in
+  stall_apply ~seconds:0.05 holding;
   let victim_done = Atomic.make false in
   let victim_fut : bool Future.t option Atomic.t = Atomic.make None in
   let victim =
     Domain.spawn (fun () ->
+        await holding;
         let h = SM.handle m in
         (* A mutation: unlike a find (answerable degraded), it forces the
            victim to take ownership, so it must reach the ack step. *)
@@ -448,12 +472,13 @@ let test_kill_at_ack () =
          with Faults.Killed _ -> ignore (SM.abandon h : int));
         Atomic.set victim_done true)
   in
-  (* Service the victim's request: keep the window non-empty so the ship
-     carries real futures, which the recovery must poison. *)
+  (* Hold the lease with a non-empty window until the victim's request
+     is in, so the ship carries real futures, which the recovery must
+     poison. *)
+  let shipped = SM.insert a 3 30 in
+  SM.flush a;
   let deadline = Sync.Mono.now () +. 30.0 in
   while (not (Atomic.get victim_done)) && Sync.Mono.now () < deadline do
-    ignore (SM.insert a 1 10 : bool Future.t);
-    SM.flush a;
     Domain.cpu_relax ()
   done;
   Alcotest.(check bool) "victim finished" true (Atomic.get victim_done);
@@ -471,6 +496,8 @@ let test_kill_at_ack () =
   Alcotest.(check bool) "recovery poisoned the lost window" true
     (s.SM.poisoned >= 1);
   Alcotest.(check bool) "recovered by deadline" true (s.SM.recovers >= 1);
+  Alcotest.(check bool) "the shipped op poisoned, not dropped" true
+    (Future.is_poisoned shipped);
   (match Atomic.get victim_fut with
   | None -> Alcotest.fail "victim never published its future"
   | Some f ->
@@ -509,13 +536,13 @@ let () =
           Alcotest.test_case "bindings across buckets" `Quick
             test_shard_bindings;
           Alcotest.test_case "degraded find + expiry recovery" `Quick
-            test_degraded_find_and_expiry_recovery;
+            (with_clean_faults test_degraded_find_and_expiry_recovery);
           Alcotest.test_case "degraded finds during a shed window" `Quick
-            test_degraded_find_during_shed_window;
+            (with_clean_faults test_degraded_find_during_shed_window);
           Alcotest.test_case "two-domain transfer (2 domains)" `Slow
-            test_two_domain_transfer;
-          Alcotest.test_case "owner that only issues ops grants" `Slow
-            test_op_time_grant;
+            (with_clean_faults test_two_domain_transfer);
+          Alcotest.test_case "request during apply granted at end" `Slow
+            (with_clean_faults test_grant_at_release);
         ] );
       ( "kills",
         [

@@ -118,7 +118,7 @@ conformance-smoke:
 
 # Flake rate of the sharded service smoke test ("service sharded
 # smoke"): run it N times, each in its own process and nothing else in
-# the test binary, then print how many runs failed.
+# the test binary, print how many runs failed, and fail if any did.
 N ?= 200
 smoke-sharded:
 	dune build test/test_workload.exe
@@ -128,7 +128,8 @@ smoke-sharded:
 			>/dev/null 2>&1 || fails=$$((fails + 1)); \
 		i=$$((i + 1)); \
 	done; \
-	echo "sharded smoke: $$fails of $(N) runs failed"
+	echo "sharded smoke: $$fails of $(N) runs failed"; \
+	[ $$fails -eq 0 ]
 
 # Mega-history fuzz: uncapped single-phase programs (about 4,800
 # recorded ops per iteration at the default 2000 steps x 3 threads)

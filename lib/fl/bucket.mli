@@ -19,8 +19,8 @@
     its lease can never mistake a successor's state for its own; the
     deadline makes a dead owner's bucket recoverable — once [until]
     passes, {e any} handle may usurp via {!try_recover}, and a window
-    lost in flight (a [Shipped] package nobody acked) is returned to the
-    recoverer so its futures can be poisoned rather than silently
+    caught in flight (a [Shipped] package nobody acked in time) is
+    returned to the recoverer so it is applied rather than silently
     dropped.
 
     Transfer protocol, the path for a request made while [A] holds the
@@ -51,7 +51,8 @@ type 'pkg state =
       (** transfer accepted; [until] is the transfer deadline. *)
   | Shipped of { from_ : int; to_ : int; epoch : int; until : float; pkg : 'pkg }
       (** the sealed pending window is in flight; [to_] must ack before
-          [until] or the package is recoverable (and poisoned). *)
+          [until] or the package is recoverable (and the recoverer
+          applies it). *)
 
 type 'pkg t
 
@@ -101,7 +102,8 @@ val try_ack : 'pkg t -> me:int -> lease:float -> 'pkg option
 
 type 'pkg recovery = { lost : 'pkg option }
 (** [lost] is the in-flight package of a recovered [Shipped] bucket —
-    the un-applied window whose futures the recoverer must poison. *)
+    the un-applied window, which the recoverer now applies in the
+    receiver's place. *)
 
 val try_recover : 'pkg t -> me:int -> lease:float -> 'pkg recovery option
 (** Usurp any {e expired} state: [→ Owned {me; epoch+1; now+lease}].

@@ -23,24 +23,14 @@ type 'a handle = {
      hand. *)
   buf : (unit Future.t, 'a) Window.t;
   shared_pops : ('a option Future.t, unit) Window.t;
+  (* The handle's evaluators, built once with it and shared by every
+     op's future. *)
+  eval_push : unit Future.t -> unit;
+  eval_pop : 'a option Future.t -> unit;
 }
 
 let create () = { stack = Lockfree.Treiber_stack.create () }
 let shared t = t.stack
-
-let handle owner =
-  {
-    owner;
-    ops =
-      Window.create
-        ~pending:(function
-          | Push (_, f) -> Future.is_pending f | Pop f -> Future.is_pending f)
-        ~poison:(function
-          | Push (_, f) -> Window.orphan f | Pop f -> Window.orphan f)
-        ();
-    buf = Window.of_futures ();
-    shared_pops = Window.of_futures ();
-  }
 
 let pending_count h = Window.length h.ops
 
@@ -102,12 +92,33 @@ let flush h =
 let abandon h =
   Window.abandon h.ops + Window.abandon h.buf + Window.abandon h.shared_pops
 
+let handle owner =
+  let ops =
+    Window.create
+      ~pending:(function
+        | Push (_, f) -> Future.is_pending f | Pop f -> Future.is_pending f)
+      ~poison:(function
+        | Push (_, f) -> Window.orphan f | Pop f -> Window.orphan f)
+      ()
+  in
+  let rec h =
+    {
+      owner;
+      ops;
+      buf = Window.of_futures ();
+      shared_pops = Window.of_futures ();
+      eval_push = (fun _ -> flush h);
+      eval_pop = (fun _ -> flush h);
+    }
+  in
+  h
+
 let push h x =
-  let f = Window.future (fun () -> flush h) in
+  let f = Window.future h.eval_push in
   Window.push h.ops (Push (x, f));
   f
 
 let pop h =
-  let f = Window.future (fun () -> flush h) in
+  let f = Window.future h.eval_pop in
   Window.push h.ops (Pop f);
   f

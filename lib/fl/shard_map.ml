@@ -41,6 +41,11 @@ module Make (K : KEY) = struct
     t : 'v t;
     me : int;  (* unique lease-owner identity, never reused *)
     wins : 'v op Opbuf.t array;  (* one pending window per bucket *)
+    (* Evaluators per bucket, built once with the handle and shared by
+       every op's future: [settle] needs the op's bucket, and the
+       future alone does not name it. *)
+    eval_insert : (bool Future.t -> unit) array;
+    eval_lookup : ('v option Future.t -> unit) array;
   }
 
   type stats = {
@@ -72,13 +77,6 @@ module Make (K : KEY) = struct
       c_retries = Sync.Padded.atomic 0;
       c_degraded = Sync.Padded.atomic 0;
       c_poisoned = Sync.Padded.atomic 0;
-    }
-
-  let handle t =
-    {
-      t;
-      me = Atomic.fetch_and_add t.next_id 1;
-      wins = Array.init (Array.length t.shards) (fun _ -> Opbuf.create ());
     }
 
   let buckets t = Array.length t.shards
@@ -123,7 +121,8 @@ module Make (K : KEY) = struct
     match S.apply kv pkg with
     | n ->
         Opbuf.clear pkg;
-        Obs.splice ~kind:Obs.Event.k_shard ~n
+        Obs.splice ~kind:Obs.Event.k_shard ~n;
+        n
     | exception e ->
         let k = poison_buf pkg in
         if k > 0 then ignore (Atomic.fetch_and_add t.c_poisoned k);
@@ -205,20 +204,25 @@ module Make (K : KEY) = struct
       | Bucket.Requested { owner; _ } when owner = h.me -> grant_and_ship h i sh
       | _ -> ()
 
-  (* Usurp the bucket if its deadline passed, poison a window lost in
-     flight, and give the lease straight back; returns the futures
-     poisoned (0 if the state was live). *)
+  (* Usurp the bucket if its deadline passed, apply a window caught in
+     flight under the lease just taken, and give the lease straight back;
+     returns the ops applied (0 if the state was live). A late receiver
+     is not dead: the recover/ack CAS gives the package to exactly one
+     of them, so applying it here takes it once, like an ack would. *)
   let recover h i sh =
     let t = h.t in
     match Bucket.try_recover sh.b ~me:h.me ~lease:t.lease with
     | None -> 0
     | Some r ->
-        let k = match r.Bucket.lost with None -> 0 | Some pkg -> poison_buf pkg in
         Atomic.incr t.c_recovers;
-        if k > 0 then ignore (Atomic.fetch_and_add t.c_poisoned k);
-        Obs.shard_recover ~bucket:i ~poisoned:k;
+        let n =
+          match r.Bucket.lost with
+          | None -> 0
+          | Some pkg -> apply_pkg t sh.kv pkg
+        in
+        Obs.shard_recover ~bucket:i ~applied:n;
         release h i sh;
-        k
+        n
 
   (* ------------------------- the flush loop ------------------------- *)
 
@@ -280,7 +284,7 @@ module Make (K : KEY) = struct
             | Some pkg ->
                 Atomic.incr t.c_acks;
                 Obs.shard_ack ~bucket:i ~t0:!t0;
-                apply_pkg t sh.kv pkg;
+                ignore (apply_pkg t sh.kv pkg : int);
                 loop ()
             | None -> wait ())
         | Bucket.Granted { to_; _ } when to_ = h.me -> wait ()
@@ -326,37 +330,57 @@ module Make (K : KEY) = struct
 
   (* After a flush, a future of ours can still be pending only because
      its window was sealed-and-shipped to another handle. Wait for the
-     receiver to apply it, pumping deadline recovery so a dead receiver
-     poisons rather than hangs us. *)
-  let settle h i f_pending =
-    if f_pending () then begin
+     receiver to apply it, pumping deadline recovery so that a dead
+     receiver's package is applied here rather than hanging us. *)
+  let settle h i f =
+    if Future.is_pending f then begin
       let sh = h.t.shards.(i) in
       let bo = Sync.Backoff.create () in
-      while f_pending () do
+      while Future.is_pending f do
         ignore (recover h i sh : int);
         Sync.Backoff.once bo
       done
     end
 
-  let add h k op f =
-    let i = bucket_of_key h.t k in
-    Opbuf.push h.wins.(i) op;
-    Future.set_evaluator f (fun () ->
-        flush h;
-        settle h i (fun () -> Future.is_pending f));
-    f
+  (* Bucket [i]'s evaluator. *)
+  let evaluate h i f =
+    flush h;
+    settle h i f
+
+  let handle t =
+    let n = Array.length t.shards in
+    let h =
+      {
+        t;
+        me = Atomic.fetch_and_add t.next_id 1;
+        wins = Array.init n (fun _ -> Opbuf.create ());
+        eval_insert = Array.make n ignore;
+        eval_lookup = Array.make n ignore;
+      }
+    in
+    for i = 0 to n - 1 do
+      h.eval_insert.(i) <- evaluate h i;
+      h.eval_lookup.(i) <- evaluate h i
+    done;
+    h
 
   let insert h k v =
-    let f = Future.create () in
-    add h k (S.Insert (k, v, f)) f
+    let i = bucket_of_key h.t k in
+    let f = Window.future h.eval_insert.(i) in
+    Opbuf.push h.wins.(i) (S.Insert (k, v, f));
+    f
 
   let find h k =
-    let f = Future.create () in
-    add h k (S.Find (k, f)) f
+    let i = bucket_of_key h.t k in
+    let f = Window.future h.eval_lookup.(i) in
+    Opbuf.push h.wins.(i) (S.Find (k, f));
+    f
 
   let remove h k =
-    let f = Future.create () in
-    add h k (S.Remove (k, f)) f
+    let i = bucket_of_key h.t k in
+    let f = Window.future h.eval_lookup.(i) in
+    Opbuf.push h.wins.(i) (S.Remove (k, f));
+    f
 
   let pending_count h =
     Array.fold_left

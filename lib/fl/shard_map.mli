@@ -24,9 +24,11 @@
 
     {b Crash recovery.} A dead owner stops renewing, its leases expire,
     and any handle recovers its buckets ({!Bucket.try_recover}) —
-    including buckets mid-transfer: a window lost in flight is returned
-    to the recoverer and every un-applied future in it is poisoned
-    {!Futures.Future.Orphaned}, never silently dropped. A dead handle's
+    including buckets mid-transfer: a window caught in flight is
+    returned to the recoverer, which applies it under the lease it just
+    took — the recover/ack CAS hands the package to exactly one taker,
+    so a receiver that is merely late never loses an op and no op is
+    applied twice. A dead handle's
     un-shipped windows are poisoned by {!abandon} (the runner's
     abandon/orphan machinery). Fault points [shard.grant], [shard.ship]
     and [shard.ack] fire before the corresponding protocol CAS, and
@@ -89,8 +91,8 @@ module Make (K : KEY) : sig
 
   val recover_all : 'v handle -> int
   (** One recovery sweep: usurp every bucket whose deadline expired,
-      poisoning windows lost in flight, and release it again; returns
-      futures poisoned. Call
+      applying windows caught in flight, and release it again; returns
+      the ops applied out of those windows. Call
       in a loop (leases must first expire) to drain a torn-down map —
       {!in_flight} reaching 0 is the fixpoint. *)
 

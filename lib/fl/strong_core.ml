@@ -35,6 +35,10 @@ let eval t ~is_ready =
   loop ();
   assert (is_ready ())
 
+(* The [is_ready] closure is built per force, not per invocation, and
+   dies young: an op waiting in the queue carries none. *)
+let eval_future t f = eval t ~is_ready:(fun () -> Futures.Future.is_ready f)
+
 let drain_now t =
   Sync.Spinlock.acquire t.lock;
   Fun.protect

@@ -32,6 +32,10 @@ val eval : 'a t -> is_ready:(unit -> bool) -> unit
     drain and apply the current batch — which necessarily contains our
     operation — then release. Postcondition: [is_ready ()] is true. *)
 
+val eval_future : 'a t -> 'b Futures.Future.t -> unit
+(** [eval] until the given future is ready: the evaluator every strong
+    object builds once and shares between all of its futures. *)
+
 val drain_now : 'a t -> unit
 (** Acquire the lock unconditionally and evaluate everything currently
     pending. Used to settle an object at a quiescent point. *)

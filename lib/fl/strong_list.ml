@@ -7,7 +7,12 @@ module Make (K : Lockfree.Harris_list.KEY) = struct
 
   type op = { key : K.t; kind : kind; future : bool Future.t }
 
-  type t = { seq : S.t; core : op Strong_core.t }
+  type t = {
+    seq : S.t;
+    core : op Strong_core.t;
+    eval : bool Future.t -> unit;
+        (* built once with the object, shared by every op's future *)
+  }
 
   let apply_op_at cursor op =
     let result =
@@ -35,13 +40,12 @@ module Make (K : Lockfree.Harris_list.KEY) = struct
 
   let create ?(sort_batch = true) () =
     let seq = S.create () in
-    { seq; core = Strong_core.create ~apply_batch:(apply_batch seq ~sort_batch) }
+    let core = Strong_core.create ~apply_batch:(apply_batch seq ~sort_batch) in
+    { seq; core; eval = Strong_core.eval_future core }
 
   let submit t key kind =
-    let future = Future.create () in
+    let future = Future.create_with ~evaluator:t.eval in
     Strong_core.submit t.core { key; kind; future };
-    Future.set_evaluator future (fun () ->
-        Strong_core.eval t.core ~is_ready:(fun () -> Future.is_ready future));
     future
 
   let insert t key = submit t key Insert

@@ -2,7 +2,13 @@ module Future = Futures.Future
 
 type 'a op = Enq of 'a * unit Future.t | Deq of 'a option Future.t
 
-type 'a t = { seq : 'a Seqds.Seq_queue.t; core : 'a op Strong_core.t }
+type 'a t = {
+  seq : 'a Seqds.Seq_queue.t;
+  core : 'a op Strong_core.t;
+  (* Built once with the object and shared by every op's future. *)
+  eval_enq : unit Future.t -> unit;
+  eval_deq : 'a option Future.t -> unit;
+}
 
 let apply_batch seq ops =
   let apply = function
@@ -15,21 +21,22 @@ let apply_batch seq ops =
 
 let create () =
   let seq = Seqds.Seq_queue.create () in
-  { seq; core = Strong_core.create ~apply_batch:(apply_batch seq) }
-
-let submit_op t op f =
-  Strong_core.submit t.core op;
-  Future.set_evaluator f (fun () ->
-      Strong_core.eval t.core ~is_ready:(fun () -> Future.is_ready f))
+  let core = Strong_core.create ~apply_batch:(apply_batch seq) in
+  {
+    seq;
+    core;
+    eval_enq = Strong_core.eval_future core;
+    eval_deq = Strong_core.eval_future core;
+  }
 
 let enqueue t x =
-  let f = Future.create () in
-  submit_op t (Enq (x, f)) f;
+  let f = Future.create_with ~evaluator:t.eval_enq in
+  Strong_core.submit t.core (Enq (x, f));
   f
 
 let dequeue t =
-  let f = Future.create () in
-  submit_op t (Deq f) f;
+  let f = Future.create_with ~evaluator:t.eval_deq in
+  Strong_core.submit t.core (Deq f);
   f
 
 let drain t = Strong_core.drain_now t.core

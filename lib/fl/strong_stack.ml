@@ -2,7 +2,13 @@ module Future = Futures.Future
 
 type 'a op = Push of 'a * unit Future.t | Pop of 'a option Future.t
 
-type 'a t = { seq : 'a Seqds.Seq_stack.t; core : 'a op Strong_core.t }
+type 'a t = {
+  seq : 'a Seqds.Seq_stack.t;
+  core : 'a op Strong_core.t;
+  (* Built once with the object and shared by every op's future. *)
+  eval_push : unit Future.t -> unit;
+  eval_pop : 'a option Future.t -> unit;
+}
 
 (* Apply a drained batch in its queue (= linearization) order. Pushes are
    buffered in a virtual stack; a pop takes the newest buffered value when
@@ -29,20 +35,22 @@ let apply_batch seq ops =
 
 let create () =
   let seq = Seqds.Seq_stack.create () in
-  { seq; core = Strong_core.create ~apply_batch:(apply_batch seq) }
+  let core = Strong_core.create ~apply_batch:(apply_batch seq) in
+  {
+    seq;
+    core;
+    eval_push = Strong_core.eval_future core;
+    eval_pop = Strong_core.eval_future core;
+  }
 
 let push t x =
-  let f = Future.create () in
+  let f = Future.create_with ~evaluator:t.eval_push in
   Strong_core.submit t.core (Push (x, f));
-  Future.set_evaluator f (fun () ->
-      Strong_core.eval t.core ~is_ready:(fun () -> Future.is_ready f));
   f
 
 let pop t =
-  let f = Future.create () in
+  let f = Future.create_with ~evaluator:t.eval_pop in
   Strong_core.submit t.core (Pop f);
-  Future.set_evaluator f (fun () ->
-      Strong_core.eval t.core ~is_ready:(fun () -> Future.is_ready f));
   f
 
 let drain t = Strong_core.drain_now t.core

@@ -3,13 +3,15 @@ module Make (K : Lockfree.Harris_list.KEY) = struct
   module S = Sorted.Set (K)
 
   type t = { list : L.t; lock : Sync.Spinlock.t }
-  type handle = { owner : t; ops : (S.op, unit) Window.t }
+  type handle = {
+    owner : t;
+    ops : (S.op, unit) Window.t;
+    eval : bool Futures.Future.t -> unit;
+        (* built once with the handle, shared by every op's future *)
+  }
 
   let create () = { list = L.create (); lock = Sync.Spinlock.create () }
   let shared t = t.list
-
-  let handle owner =
-    { owner; ops = Window.create ~pending:S.pending ~poison:S.poison () }
 
   let pending_count h = Window.length h.ops
 
@@ -27,8 +29,13 @@ module Make (K : Lockfree.Harris_list.KEY) = struct
 
   let abandon h = Window.abandon h.ops
 
+  let handle owner =
+    let ops = Window.create ~pending:S.pending ~poison:S.poison () in
+    let rec h = { owner; ops; eval = (fun _ -> flush h) } in
+    h
+
   let add h key kind =
-    let future = Window.future (fun () -> flush h) in
+    let future = Window.future h.eval in
     Window.push h.ops { S.key; kind; future };
     future
 

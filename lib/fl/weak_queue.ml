@@ -8,13 +8,14 @@ type 'a handle = {
      parallel rings so an enqueue allocates nothing beyond its future. *)
   enqs : (unit Future.t, 'a) Window.t;
   deqs : ('a option Future.t, unit) Window.t;
+  (* The handle's evaluators, built once with it and shared by every
+     op's future. *)
+  eval_enq : unit Future.t -> unit;
+  eval_deq : 'a option Future.t -> unit;
 }
 
 let create () = { queue = Lockfree.Ms_queue.create () }
 let shared t = t.queue
-
-let handle owner =
-  { owner; enqs = Window.of_futures (); deqs = Window.of_futures () }
 
 let pending_count h = Window.length h.enqs + Window.length h.deqs
 
@@ -53,5 +54,19 @@ let flush h =
   flush_dequeues h
 
 let abandon h = Window.abandon h.enqs + Window.abandon h.deqs
-let enqueue h x = Window.add_with h.enqs (fun () -> flush_enqueues h) x
-let dequeue h = Window.add h.deqs (fun () -> flush_dequeues h)
+
+let handle owner =
+  let enqs = Window.of_futures () and deqs = Window.of_futures () in
+  let rec h =
+    {
+      owner;
+      enqs;
+      deqs;
+      eval_enq = (fun _ -> flush_enqueues h);
+      eval_deq = (fun _ -> flush_dequeues h);
+    }
+  in
+  h
+
+let enqueue h x = Window.add_with h.enqs h.eval_enq x
+let dequeue h = Window.add h.deqs h.eval_deq

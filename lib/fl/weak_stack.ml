@@ -15,6 +15,10 @@ type 'a handle = {
      parallel rings so a push allocates nothing beyond its future. *)
   pushes : (unit Future.t, 'a) Window.t;
   pops : ('a option Future.t, unit) Window.t;
+  (* The handle's evaluators, built once with it: every op's future
+     shares one, so an op allocates nothing beyond its future. *)
+  eval_push : unit Future.t -> unit;
+  eval_pop : 'a option Future.t -> unit;
 }
 
 let create ?(elimination = true) ?(exchange = false) () =
@@ -30,9 +34,6 @@ let exchanged t =
   match t.exchange with None -> 0 | Some ex -> Lockfree.Exchanger.exchanged ex
 
 let exchanger t = t.exchange
-
-let handle owner =
-  { owner; pushes = Window.of_futures (); pops = Window.of_futures () }
 
 let pending_count h = Window.length h.pushes + Window.length h.pops
 
@@ -104,6 +105,19 @@ let flush h =
 
 let abandon h = Window.abandon h.pushes + Window.abandon h.pops
 
+let handle owner =
+  let pushes = Window.of_futures () and pops = Window.of_futures () in
+  let rec h =
+    {
+      owner;
+      pushes;
+      pops;
+      eval_push = (fun _ -> flush h);
+      eval_pop = (fun _ -> flush h);
+    }
+  in
+  h
+
 (* Elimination: a push hands its value to the newest pending pop (and
    vice versa); neither operation ever reaches the shared stack. A
    partner whose future was cancelled no longer wants the pairing: drop
@@ -129,8 +143,8 @@ let rec eliminate_pop h =
   end
   else None
 
-let window_push h x = Window.add_with h.pushes (fun () -> flush h) x
-let window_pop h = Window.add h.pops (fun () -> flush h)
+let window_push h x = Window.add_with h.pushes h.eval_push x
+let window_pop h = Window.add h.pops h.eval_pop
 
 let push h x =
   if h.owner.elimination && Window.length h.pops > 0 then

@@ -25,15 +25,22 @@ val of_futures : unit -> ('a Futures.Future.t, 'v) t
 val orphan : 'a Futures.Future.t -> bool
 (** Poison with [Future.Orphaned]; the building block of every [poison]. *)
 
-val future : (unit -> unit) -> 'a Futures.Future.t
-(** A fresh future with evaluator [eval], for ops built around it. *)
+val future : ('a Futures.Future.t -> unit) -> 'a Futures.Future.t
+(** A fresh future with evaluator [eval], for ops built around it.
+    [eval] is the handle's own, built once with the handle: every op
+    shares it, so an op allocates only its future. *)
 
 val add :
-  ('a Futures.Future.t, unit) t -> (unit -> unit) -> 'a Futures.Future.t
+  ('a Futures.Future.t, unit) t ->
+  ('a Futures.Future.t -> unit) ->
+  'a Futures.Future.t
 (** Append and return a fresh future with evaluator [eval]. *)
 
 val add_with :
-  ('a Futures.Future.t, 'v) t -> (unit -> unit) -> 'v -> 'a Futures.Future.t
+  ('a Futures.Future.t, 'v) t ->
+  ('a Futures.Future.t -> unit) ->
+  'v ->
+  'a Futures.Future.t
 (** {!add}, appending [v] to the value ring too. *)
 
 val push : ('op, unit) t -> 'op -> unit

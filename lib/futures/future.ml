@@ -14,10 +14,10 @@ type 'a state =
    it directly. *)
 type 'a t = {
   mutable state : 'a state; [@warning "-69"]
-  (* Owner-private: written at creation / by set_evaluator, read by force,
-     all on the owner thread, so no atomicity is needed. [no_eval] when
-     none is installed. *)
-  mutable evaluator : unit -> unit;
+  (* Fixed at creation, run by [force] on the owner thread with the
+     future itself, so one closure can serve every future of a handle.
+     [no_eval] when there is none. *)
+  evaluator : 'a t -> unit;
   (* Obs birth stamp (monotonic ns); 0 = created while obs was off, so
      terminal transitions never report a garbage pendingness. *)
   born : int;
@@ -27,7 +27,7 @@ let cell (t : 'a t) : 'a state Atomic.t = Obj.magic t
 
 (* The "no evaluator" sentinel, recognised by physical equality: a static
    closure, so storing it allocates nothing. *)
-let no_eval () = ()
+let no_eval _ = ()
 
 exception Already_fulfilled
 exception Stuck
@@ -105,8 +105,6 @@ let peek t =
   | Ready v -> Some v
   | Pending | Terminated _ -> None
 
-let set_evaluator t f = t.evaluator <- f
-
 (* How many backoff rounds [force] waits for an evaluator-less future
    before concluding nobody will ever fulfil it. [await] has no such bound:
    it is specified as "a producer will fulfil". *)
@@ -165,7 +163,7 @@ and force_body t =
   | Terminated e -> raise e
   | Pending ->
       if t.evaluator != no_eval then begin
-        t.evaluator ();
+        t.evaluator t;
         match Atomic.get (cell t) with
         | Ready v -> v
         | Terminated e -> raise e
@@ -206,7 +204,7 @@ and force_until_body t ~deadline =
            (aborting it midway could leave the structure's pending lists
            half-applied); the deadline bounds only the wait on other
            threads. *)
-        t.evaluator ();
+        t.evaluator t;
         match Atomic.get (cell t) with
         | Ready v -> v
         | Terminated e -> raise e
@@ -236,18 +234,15 @@ let terminate t e =
     | _ -> Obs.future_cancelled ~born:t.born
 
 let map f fut =
-  let t = create () in
-  set_evaluator t (fun () ->
+  create_with ~evaluator:(fun t ->
       match force fut with
       | v -> fulfil t (f v)
       | exception ((Cancelled | Broken _ | Rejected) as e) ->
           terminate t e;
-          raise e);
-  t
+          raise e)
 
 let both a b =
-  let t = create () in
-  set_evaluator t (fun () ->
+  create_with ~evaluator:(fun t ->
       match
         let va = force a in
         let vb = force b in
@@ -256,18 +251,15 @@ let both a b =
       | pair -> fulfil t pair
       | exception ((Cancelled | Broken _ | Rejected) as e) ->
           terminate t e;
-          raise e);
-  t
+          raise e)
 
 let all fs =
-  let t = create () in
-  set_evaluator t (fun () ->
+  create_with ~evaluator:(fun t ->
       match List.map force fs with
       | vs -> fulfil t vs
       | exception ((Cancelled | Broken _ | Rejected) as e) ->
           terminate t e;
-          raise e);
-  t
+          raise e)
 
 (* ------------------------ bounded resubmission ----------------------- *)
 

@@ -7,8 +7,11 @@
     [opCode]/[value]/[result]/[resultReady] fields; here the operation
     descriptor (opCode/value) lives in the data structure's own pending
     lists, and the future is the result cell plus an {e evaluator} — the
-    hook a data structure installs so that forcing the future flushes the
-    pending operations that must take effect for the result to exist.
+    hook a data structure gives at creation so that forcing the future
+    flushes the pending operations that must take effect for the result
+    to exist. The evaluator receives the future being forced, so a data
+    structure builds its evaluators once per handle and every op's
+    future shares one: invoking an op allocates only the future.
 
     Concurrency contract (paper §6 model): a future is created and forced
     by one owner thread, but may be {e fulfilled} by any thread (e.g. a
@@ -43,18 +46,23 @@
     primitives touch only field 0: [state] is field 0 of a record (tag 0,
     scanned by the GC); it is [mutable], so the compiler never shares,
     lifts or caches the block; and it is never read or written except
-    through the cast. The evaluator is stored bare, with a static
-    sentinel closure standing for "none". *)
+    through the cast. The evaluator is stored bare and never changes,
+    with a static sentinel closure standing for "none". *)
 
 type 'a t
 
 val create : unit -> 'a t
 (** A pending future with no evaluator ([force] on it spin-waits). *)
 
-val create_with : evaluator:(unit -> unit) -> 'a t
-(** A pending future whose [force] runs [evaluator] to make the result
-    ready. The evaluator must cause [fulfil] (directly or transitively);
-    [force] verifies this and raises [Stuck] otherwise. *)
+val create_with : evaluator:('a t -> unit) -> 'a t
+(** A pending future whose [force] runs [evaluator t] on the future [t]
+    itself to make the result ready. The evaluator must cause [fulfil]
+    of [t] (directly or transitively); [force] verifies this and raises
+    [Stuck] otherwise. It runs on the owner thread, at most once per
+    force that finds [t] pending, and may be shared by any number of
+    futures: a handle's [fun _ -> flush h] needs no per-op copy, and an
+    evaluator that must stop once its own op is applied tests the
+    future it is given. *)
 
 val of_value : 'a -> 'a t
 (** An already-fulfilled future — used for operations that are eliminated
@@ -130,14 +138,14 @@ val peek : 'a t -> 'a option
 (** The result if ready, without forcing. *)
 
 exception Stuck
-(** Raised by [force] when a future has no evaluator installed, is not
+(** Raised by [force] when a future has no evaluator, is not
     being fulfilled by anyone, and would therefore wait forever. *)
 
 val force : 'a t -> 'a
 (** Evaluate ("touch") the future: if pending, run its evaluator, then
     return the result. Idempotent; subsequent calls return the cached
     result. Must only be called by the owner thread.
-    @raise Stuck if no evaluator is installed and the result does not
+    @raise Stuck if there is no evaluator and the result does not
     become ready after a bounded wait.
     @raise Cancelled / [Broken _] if the future reached that terminal
     state (the evaluator is not run). *)
@@ -162,16 +170,13 @@ val force_until : 'a t -> deadline:float -> 'a
     immune to wall-clock jumps) instead of a fixed round count.
     @raise Timeout if the deadline passes first — the graceful
     alternative to spinning on a fulfiller that died.
-    @raise Stuck if an installed evaluator returns without fulfilling
+    @raise Stuck if the evaluator returns without fulfilling
     (evaluators run to completion; the deadline does not abort them). *)
 
 val await_for : 'a t -> seconds:float -> 'a
 (** [await_for t ~seconds] is [await t] bounded by a relative timeout
     measured on the monotonic clock.
     @raise Timeout if no thread fulfils the future within [seconds]. *)
-
-val set_evaluator : 'a t -> (unit -> unit) -> unit
-(** Install or replace the evaluator. Owner thread only. *)
 
 val retry : ?attempts:int -> (unit -> 'a t) -> 'a t
 (** [retry ~attempts f] is the bounded-resubmission path for [Rejected]

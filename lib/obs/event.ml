@@ -29,8 +29,8 @@ let worker_stalled = 14
 
 (* Sharded-map bucket transfers (Fl.Shard_map). [a] = bucket id.
    shard_ship's [b] = shipped window size; shard_ack's [b] = transfer
-   latency (request -> ack) in ns; shard_recover's [b] = futures
-   poisoned out of the lost window. *)
+   latency (request -> ack) in ns; shard_recover's [b] = ops applied
+   out of the window caught in flight. *)
 let shard_request = 15
 let shard_grant = 16
 let shard_ship = 17

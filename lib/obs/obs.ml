@@ -236,9 +236,9 @@ let shard_ack ~bucket ~t0 =
     Metrics.on_shard_ack d
   end
 
-let shard_recover ~bucket ~poisoned =
+let shard_recover ~bucket ~applied =
   if Switch.enabled () then begin
-    Trace.emit Event.shard_recover bucket poisoned;
+    Trace.emit Event.shard_recover bucket applied;
     Metrics.on_shard_recover ()
   end
 

@@ -109,9 +109,9 @@ val shard_ack : bucket:int -> t0:int -> unit
 (** Transfer completed; latency now − [t0] goes to the transfer
     histogram (skipped when [t0 = 0]). *)
 
-val shard_recover : bucket:int -> poisoned:int -> unit
-(** An expired bucket was usurped; [poisoned] = futures poisoned out of
-    a window lost in flight (0 when no window was in flight). *)
+val shard_recover : bucket:int -> applied:int -> unit
+(** An expired bucket was usurped; [applied] = ops the recoverer applied
+    out of a window caught in flight (0 when none was in flight). *)
 
 val shard_degraded : bucket:int -> unit
 (** A pending find answered read-only against the local segment while

@@ -128,7 +128,7 @@ let event_args e =
   else if t = Event.shard_ack then
     [ ("bucket", e.e_a); ("transfer_ns", e.e_b) ]
   else if t = Event.shard_recover then
-    [ ("bucket", e.e_a); ("poisoned", e.e_b) ]
+    [ ("bucket", e.e_a); ("applied", e.e_b) ]
   else if t = Event.op_enq || t = Event.op_deq || t = Event.op_push
           || t = Event.op_pop then
     [ ("obj", e.e_a land 63); ("value", e.e_a asr 6); ("dur_ns", e.e_b) ]

@@ -226,8 +226,7 @@ let test_force_until_ready_and_evaluator () =
   let f = Future.of_value 3 in
   Alcotest.(check int) "ready future ignores deadline" 3
     (Future.force_until f ~deadline:0.0);
-  let g = Future.create () in
-  Future.set_evaluator g (fun () -> Future.fulfil g 9);
+  let g = Future.create_with ~evaluator:(fun g -> Future.fulfil g 9) in
   Alcotest.(check int) "evaluator runs regardless of deadline" 9
     (Future.force_until g ~deadline:0.0)
 

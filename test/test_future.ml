@@ -29,31 +29,59 @@ let test_try_fulfil () =
 
 let test_evaluator_runs_on_force () =
   let ran = ref false in
-  let f = Future.create () in
-  Future.set_evaluator f (fun () ->
-      ran := true;
-      Future.fulfil f 99);
+  let f =
+    Future.create_with ~evaluator:(fun f ->
+        ran := true;
+        Future.fulfil f 99)
+  in
   Alcotest.(check bool) "not yet" false !ran;
   Alcotest.(check int) "forced" 99 (Future.force f);
   Alcotest.(check bool) "evaluator ran" true !ran
 
 let test_evaluator_not_rerun () =
   let runs = ref 0 in
-  let f = Future.create () in
-  Future.set_evaluator f (fun () ->
-      incr runs;
-      Future.fulfil f !runs);
+  let f =
+    Future.create_with ~evaluator:(fun f ->
+        incr runs;
+        Future.fulfil f !runs)
+  in
   Alcotest.(check int) "first force" 1 (Future.force f);
   Alcotest.(check int) "second force cached" 1 (Future.force f);
   Alcotest.(check int) "single run" 1 !runs
 
 let test_create_with () =
-  let f = ref None in
-  let fut = Future.create_with ~evaluator:(fun () ->
-      match !f with Some fut -> Future.fulfil fut 5 | None -> ())
-  in
-  f := Some fut;
+  let fut = Future.create_with ~evaluator:(fun f -> Future.fulfil f 5) in
   Alcotest.(check int) "force" 5 (Future.force fut)
+
+(* The evaluator is handed the very future being forced, not a copy or
+   a sibling. *)
+let test_evaluator_gets_forced_future () =
+  let seen : int Future.t list ref = ref [] in
+  let fut =
+    Future.create_with ~evaluator:(fun f ->
+        seen := f :: !seen;
+        Future.fulfil f 3)
+  in
+  Alcotest.(check int) "force" 3 (Future.force fut);
+  Alcotest.(check int) "ran once" 1 (List.length !seen);
+  Alcotest.(check bool) "got the forced future" true (List.hd !seen == fut)
+
+(* One evaluator closure serves two futures, the way a handle's shared
+   evaluator serves all of its ops: each force fulfils the future it is
+   given, and only that one. *)
+let test_shared_evaluator () =
+  let runs = ref 0 in
+  let eval f =
+    incr runs;
+    Future.fulfil f (10 * !runs)
+  in
+  let a = Future.create_with ~evaluator:eval in
+  let b = Future.create_with ~evaluator:eval in
+  Alcotest.(check int) "b forced first" 10 (Future.force b);
+  Alcotest.(check bool) "a untouched" false (Future.is_ready a);
+  Alcotest.(check int) "then a" 20 (Future.force a);
+  Alcotest.(check int) "b cached" 10 (Future.force b);
+  Alcotest.(check int) "one run per future" 2 !runs
 
 let test_force_stuck () =
   let f : int Future.t = Future.create () in
@@ -61,44 +89,33 @@ let test_force_stuck () =
       ignore (Future.force f))
 
 let test_broken_evaluator_stuck () =
-  let f : int Future.t = Future.create () in
-  Future.set_evaluator f (fun () -> () (* forgets to fulfil *));
+  let f : int Future.t =
+    Future.create_with ~evaluator:(fun _ -> () (* forgets to fulfil *))
+  in
   Alcotest.check_raises "stuck evaluator" Future.Stuck (fun () ->
       ignore (Future.force f))
 
-let test_evaluator_replacement () =
-  (* set_evaluator replaces: only the latest installed evaluator runs.
-     This is how the medium-FL structures re-point a pending future at a
-     cheaper resume position as more operations pile up behind it. *)
-  let f = Future.create () in
-  let first = ref 0 and second = ref 0 in
-  Future.set_evaluator f (fun () ->
-      incr first;
-      Future.fulfil f 1);
-  Future.set_evaluator f (fun () ->
-      incr second;
-      Future.fulfil f 2);
-  Alcotest.(check int) "replacement fulfilled" 2 (Future.force f);
-  Alcotest.(check int) "old evaluator never ran" 0 !first;
-  Alcotest.(check int) "new evaluator ran once" 1 !second
-
 let test_replace_broken_evaluator () =
-  (* A Stuck force leaves the future pending: the owner may install a
-     working evaluator and retry. *)
-  let f : int Future.t = Future.create () in
-  Future.set_evaluator f (fun () -> ());
+  (* A Stuck force leaves the future pending: once whatever the
+     evaluator depends on is repaired, the owner may retry. *)
+  let repaired = ref false in
+  let f : int Future.t =
+    Future.create_with ~evaluator:(fun f ->
+        if !repaired then Future.fulfil f 11)
+  in
   Alcotest.check_raises "broken first" Future.Stuck (fun () ->
       ignore (Future.force f));
   Alcotest.(check bool) "still pending" false (Future.is_ready f);
-  Future.set_evaluator f (fun () -> Future.fulfil f 11);
+  repaired := true;
   Alcotest.(check int) "repaired and forced" 11 (Future.force f)
 
 let test_evaluator_fulfilled_concurrently () =
   (* The evaluator finds the future already fulfilled (an eliminator or
      combiner got there first): it must not double-fulfil, and force
      returns the existing value. *)
-  let f = Future.create () in
-  Future.set_evaluator f (fun () -> ignore (Future.try_fulfil f 2));
+  let f =
+    Future.create_with ~evaluator:(fun f -> ignore (Future.try_fulfil f 2))
+  in
   Future.fulfil f 1;
   Alcotest.(check int) "first fulfilment wins" 1 (Future.force f)
 
@@ -131,16 +148,16 @@ let test_force_until_timeout_then_value () =
 let test_force_until_evaluator_completes () =
   (* An installed evaluator runs to completion even past the deadline —
      aborting it midway could leave pending lists half-applied. *)
-  let f = Future.create () in
-  Future.set_evaluator f (fun () ->
-      Unix.sleepf 0.005;
-      Future.fulfil f 4);
+  let f =
+    Future.create_with ~evaluator:(fun f ->
+        Unix.sleepf 0.005;
+        Future.fulfil f 4)
+  in
   Alcotest.(check int) "evaluator finishes despite past deadline" 4
     (Future.force_until f ~deadline:0.0)
 
 let test_force_until_broken_evaluator_stuck () =
-  let f : int Future.t = Future.create () in
-  Future.set_evaluator f (fun () -> ());
+  let f : int Future.t = Future.create_with ~evaluator:(fun _ -> ()) in
   Alcotest.check_raises "stuck beats timeout for broken evaluators"
     Future.Stuck (fun () ->
       ignore (Future.force_until f ~deadline:(Sync.Mono.now () +. 1.0)))
@@ -237,10 +254,11 @@ let test_poison_carries_reason () =
 
 let test_cancelled_evaluator_not_run () =
   let ran = ref false in
-  let f : int Future.t = Future.create () in
-  Future.set_evaluator f (fun () ->
-      ran := true;
-      Future.fulfil f 1);
+  let f : int Future.t =
+    Future.create_with ~evaluator:(fun f ->
+        ran := true;
+        Future.fulfil f 1)
+  in
   Alcotest.(check bool) "cancel wins" true (Future.cancel f);
   Alcotest.check_raises "force raises" Future.Cancelled (fun () ->
       ignore (Future.force f));
@@ -339,18 +357,18 @@ let test_map () =
 
 let test_map_forces_evaluator () =
   let evaluated = ref false in
-  let f = Future.create () in
-  Future.set_evaluator f (fun () ->
-      evaluated := true;
-      Future.fulfil f 10);
+  let f =
+    Future.create_with ~evaluator:(fun f ->
+        evaluated := true;
+        Future.fulfil f 10)
+  in
   let g = Future.map string_of_int f in
   Alcotest.(check string) "maps after eval" "10" (Future.force g);
   Alcotest.(check bool) "parent evaluator ran" true !evaluated
 
 let test_both () =
-  let a = Future.create () and b = Future.create () in
-  Future.set_evaluator a (fun () -> Future.fulfil a 1);
-  Future.set_evaluator b (fun () -> Future.fulfil b "x");
+  let a = Future.create_with ~evaluator:(fun a -> Future.fulfil a 1)
+  and b = Future.create_with ~evaluator:(fun b -> Future.fulfil b "x") in
   let c = Future.both a b in
   Alcotest.(check (pair int string)) "pair" (1, "x") (Future.force c)
 
@@ -358,9 +376,8 @@ let test_all () =
   let fs = List.init 5 Future.of_value in
   let batch = Future.all fs in
   Alcotest.(check (list int)) "batch" [ 0; 1; 2; 3; 4 ] (Future.force batch);
-  let pending = Future.create () in
+  let pending = Future.create_with ~evaluator:(fun f -> Future.fulfil f 9) in
   let batch2 = Future.all [ pending ] in
-  Future.set_evaluator pending (fun () -> Future.fulfil pending 9);
   Alcotest.(check (list int)) "evaluators forced" [ 9 ] (Future.force batch2)
 
 (* Compile-time conformance of the handle-based structures to the shared
@@ -586,7 +603,7 @@ let words_per_call f =
   done;
   (Gc.minor_words () -. before) /. float_of_int calls
 
-let no_work () = ()
+let no_work _ = ()
 
 (* A future is one block plus its [Ready] box: 6 words for a whole
    create_with -> fulfil -> force life, and for of_value (10 and 8 with a
@@ -628,12 +645,14 @@ let () =
           Alcotest.test_case "force stuck" `Quick test_force_stuck;
           Alcotest.test_case "broken evaluator" `Quick
             test_broken_evaluator_stuck;
-          Alcotest.test_case "evaluator replacement" `Quick
-            test_evaluator_replacement;
           Alcotest.test_case "repair broken evaluator" `Quick
             test_replace_broken_evaluator;
           Alcotest.test_case "evaluator loses fulfilment race" `Quick
             test_evaluator_fulfilled_concurrently;
+          Alcotest.test_case "evaluator gets the forced future" `Quick
+            test_evaluator_gets_forced_future;
+          Alcotest.test_case "one evaluator, two futures" `Quick
+            test_shared_evaluator;
         ] );
       ( "bounded-waits",
         [

@@ -330,14 +330,10 @@ let test_lifecycle_roundtrip () =
   (* Forcing a resolved future is not recorded (no wait to measure)… *)
   Alcotest.(check int) "force" 1 (Futures.Future.force f1);
   (* …but a force that finds the future unresolved is. *)
-  let knot = ref None in
   let f4 : int Futures.Future.t =
-    Futures.Future.create_with ~evaluator:(fun () ->
-        match !knot with
-        | Some f -> ignore (Futures.Future.try_fulfil f 42 : bool)
-        | None -> ())
+    Futures.Future.create_with ~evaluator:(fun f ->
+        ignore (Futures.Future.try_fulfil f 42 : bool))
   in
-  knot := Some f4;
   Alcotest.(check int) "lazy force" 42 (Futures.Future.force f4);
   Obs.set_enabled false;
   let d = M.diff (M.snapshot ()) before in

@@ -445,8 +445,9 @@ let test_kill_at_ship () =
 
 (* Requester killed at [shard.ack]: the package is stuck in Shipped with
    nobody to take it. Any surviving handle must recover it by deadline
-   and poison the lost window's futures — the exact lost-update the
-   protocol exists to prevent. *)
+   and apply it in the requester's place, so the shipped op is neither
+   dropped (the lost update the protocol exists to prevent) nor
+   poisoned; the victim's own window is poisoned by its abandon. *)
 let test_kill_at_ack () =
   let m : int SM.t =
     SM.create ~buckets:1 ~lease:0.2 ~grant_timeout:0.001 ()
@@ -474,7 +475,7 @@ let test_kill_at_ack () =
   in
   (* Hold the lease with a non-empty window until the victim's request
      is in, so the ship carries real futures, which the recovery must
-     poison. *)
+     apply. *)
   let shipped = SM.insert a 3 30 in
   SM.flush a;
   let deadline = Sync.Mono.now () +. 30.0 in
@@ -493,11 +494,13 @@ let test_kill_at_ack () =
   Alcotest.(check int) "drained" 0 (SM.in_flight m);
   let s = SM.stats m in
   Alcotest.(check bool) "the window was shipped" true (s.SM.ships >= 1);
-  Alcotest.(check bool) "recovery poisoned the lost window" true
+  Alcotest.(check bool) "the victim's abandon poisoned its window" true
     (s.SM.poisoned >= 1);
   Alcotest.(check bool) "recovered by deadline" true (s.SM.recovers >= 1);
-  Alcotest.(check bool) "the shipped op poisoned, not dropped" true
-    (Future.is_poisoned shipped);
+  Alcotest.(check (option bool)) "the shipped op applied" (Some true)
+    (Future.peek shipped);
+  Alcotest.(check (option int)) "the shipped op landed" (Some 30)
+    (SM.get m 3);
   (match Atomic.get victim_fut with
   | None -> Alcotest.fail "victim never published its future"
   | Some f ->

@@ -422,7 +422,7 @@ let micro_alloc () =
   Format.printf
     "== Micro: minor words/op, window=%d pending ops then flush ==@.@."
     alloc_window;
-  let measure name f =
+  let measure ?(slack = alloc_window) name f =
     for _ = 1 to 10 do f () done;
     Gc.full_major ();
     let before = Gc.minor_words () in
@@ -430,12 +430,12 @@ let micro_alloc () =
     let words = Gc.minor_words () -. before in
     let per_op = words /. float_of_int (alloc_iters * alloc_window) in
     Format.printf "  %-28s %8.1f minor words/op@." name per_op;
-    record ~bench:"micro-alloc" ~impl:name ~slack:alloc_window ~domains:1
+    record ~bench:"micro-alloc" ~impl:name ~slack ~domains:1
       [ ("minor_words_per_op", per_op) ]
   in
   (* One window of [n] operations ([op i] for i = 1..n), then a flush. *)
-  let window ?(n = alloc_window) ~flush name op =
-    measure name (fun () ->
+  let window ?slack ?(n = alloc_window) ~flush name op =
+    measure ?slack name (fun () ->
         for i = 1 to n do
           op i
         done;
@@ -463,6 +463,28 @@ let micro_alloc () =
    let window = window ~flush:(fun () -> Q.flush h) in
    window "medium-queue enq+flush" (fun i -> ignore (Q.enqueue h i));
    window "medium-queue deq+flush" (fun _ -> ignore (Q.dequeue h)));
+  (* Slack 1, the paper's direct overhead comparison: each op is noted
+     with [Fl.Slack] at slack 1, which forces it at once, as the
+     benchmark's stack-direct workload does; the Treiber stack alone is
+     the lock-free baseline beside it. *)
+  let sl = Fl.Slack.create 1 in
+  let forced f = Fl.Slack.note sl (fun () -> ignore (Future.force f)) in
+  let pairs = window ~slack:1 ~n:(alloc_window / 2) ~flush:ignore in
+  (let module S = Fl.Weak_stack in
+   let h = S.handle (S.create ()) in
+   pairs "weak-stack push+pop slack-1" (fun i ->
+       forced (S.push h i);
+       forced (S.pop h)));
+  (let module Q = Fl.Weak_queue in
+   let h = Q.handle (Q.create ()) in
+   pairs "weak-queue enq+deq slack-1" (fun i ->
+       forced (Q.enqueue h i);
+       forced (Q.dequeue h)));
+  (let module T = Lockfree.Treiber_stack in
+   let t = T.create () in
+   pairs "lockfree-stack push+pop" (fun i ->
+       T.push t i;
+       ignore (T.pop t)));
   (* Lookups of keys 1..64 on empty sets and maps: the window and its
      sorted or in-order apply, not the traversal. *)
   let module K = struct

@@ -25,7 +25,8 @@
     Current points: [backoff.once], [spinlock.acquire], [future.fulfil],
     [future.force], [future.await], [fc.apply], [fc.pass], [fc.record],
     [elim.exchange], [elim.offer], [elim.park], [conformance.round],
-    [bench.op], [fuzz.step], [tune.epoch], the sharded map's
+    [bench.op], [fuzz.step], [slack.force] (inside the fuzzer's [slack]
+    target's force thunks), [tune.epoch], the sharded map's
     [shard.apply] (a lease just taken, its window not yet applied) and
     transfer protocol's [shard.grant], [shard.ship], [shard.ack] (each
     fired immediately before the corresponding ownership CAS, so a kill

@@ -4,23 +4,12 @@ type t = {
   mutable slack : int;
   order : order;
   window : (unit -> unit) Opbuf.t; (* oldest first *)
-  (* Spare ring the window is detached into before any thunk runs: a
-     force thunk may reentrantly [note] (an evaluator issuing follow-up
-     operations), and those registrations must land in the fresh window,
-     not in the half-iterated one. *)
-  free : (unit -> unit) Opbuf.t;
   mutable draining : bool;
 }
 
 let create ?(order = Newest_first) slack =
   if slack < 1 then invalid_arg "Slack.create: slack must be >= 1";
-  {
-    slack;
-    order;
-    window = Opbuf.create ();
-    free = Opbuf.create ();
-    draining = false;
-  }
+  { slack; order; window = Opbuf.create (); draining = false }
 
 let slack t = t.slack
 
@@ -34,29 +23,59 @@ let set_slack t n = t.slack <- (if n < 1 then 1 else n)
 
 let pending t = Opbuf.length t.window
 
-(* Forcing newest first, the first force reaches the deepest pending
-   operation, so implementations that evaluate "until F is ready" (the
-   medium-FL queue and list) resolve the whole window in one combined
-   flush — the remaining forces find their futures already fulfilled.
-   Forcing oldest-first degrades every evaluation to a single operation
-   and disables the intra-evaluation optimizations of §4 (ablation D). *)
+(* Pop each thunk before it runs, so one that raises has left the window
+   and the rest stay pending. A thunk noted reentrantly (an evaluator
+   issuing follow-up operations) is pushed onto this same ring and runs
+   in this same loop. *)
+let rec force_window t =
+  if not (Opbuf.is_empty t.window) then begin
+    let force =
+      match t.order with
+      | Newest_first -> Opbuf.pop_back t.window
+      | Oldest_first ->
+          let f = Opbuf.get t.window 0 in
+          Opbuf.drop_front t.window 1;
+          f
+    in
+    force ();
+    force_window t
+  end
+
+(* Force [fill] — the thunk that filled the window, never stored — and
+   the window: [fill] first when forcing newest first, last when forcing
+   oldest first. Forcing newest first, the first force reaches the
+   deepest pending operation, so implementations that evaluate "until F
+   is ready" (the medium-FL queue and list) resolve the whole window in
+   one combined flush — the remaining forces find their futures already
+   fulfilled. Forcing oldest-first degrades every evaluation to a single
+   operation and disables the intra-evaluation optimizations of §4
+   (ablation D). If a thunk raises before [fill] ran, [fill] is kept
+   pending in its place. *)
+let drain_with t fill =
+  t.draining <- true;
+  match
+    match t.order with
+    | Newest_first ->
+        fill ();
+        force_window t
+    | Oldest_first -> (
+        match force_window t with
+        | () ->
+            fill ();
+            force_window t
+        | exception e ->
+            Opbuf.push t.window fill;
+            raise e)
+  with
+  | () -> t.draining <- false
+  | exception e ->
+      t.draining <- false;
+      raise e
+
 let drain t =
   if not t.draining then begin
-    t.draining <- true;
-    (* Loop: thunks registered reentrantly while draining fill the live
-       window and are drained too before we return. *)
-    Fun.protect
-      ~finally:(fun () -> t.draining <- false)
-      (fun () ->
-        while not (Opbuf.is_empty t.window) do
-          Opbuf.swap t.window t.free;
-          Obs.splice ~kind:Obs.Event.k_slack_drain ~n:(Opbuf.length t.free);
-          let run force = force () in
-          (match t.order with
-          | Newest_first -> Opbuf.rev_iter run t.free
-          | Oldest_first -> Opbuf.iter run t.free);
-          Opbuf.clear t.free
-        done)
+    Obs.splice ~kind:Obs.Event.k_slack_drain ~n:(Opbuf.length t.window);
+    drain_with t ignore
   end
 
 let abandon t =
@@ -64,11 +83,14 @@ let abandon t =
      must never run (each would re-enter the dead owner's handle). The
      futures they would have forced are poisoned by the handle's own
      [abandon]; here we just drop the thunks. *)
-  let n = Opbuf.length t.window + Opbuf.length t.free in
+  let n = Opbuf.length t.window in
   Opbuf.clear t.window;
-  Opbuf.clear t.free;
   n
 
 let note t force =
-  Opbuf.push t.window force;
-  if Opbuf.length t.window >= t.slack then drain t
+  if t.draining || Opbuf.length t.window < t.slack - 1 then
+    Opbuf.push t.window force
+  else begin
+    Obs.splice ~kind:Obs.Event.k_slack_drain ~n:(Opbuf.length t.window + 1);
+    drain_with t force
+  end

@@ -49,7 +49,8 @@ let fuzz ?(size = Program.default_size) ?condition ?(iters = 20)
       let prog_seed, plan_seed = derived ~seed ~iter:i in
       let prog = Program.generate ~size t.Exec.kind ~seed:prog_seed in
       let plan =
-        Plan.generate ~kills:t.Exec.kill_plan ~intensity:plan_intensity
+        Plan.generate ~kills:t.Exec.kill_plan
+          ~kill_points:(Exec.kill_points t) ~intensity:plan_intensity
           ~seed:plan_seed ()
       in
       let out = Exec.run ~condition t prog plan in

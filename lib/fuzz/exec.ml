@@ -100,14 +100,15 @@ let targets =
         runner = RMulti;
       };
       (* Oracle targets: no recorded history. [slack] checks the
-         evaluation-policy helper fires every noted thunk exactly once;
-         [fclease] drives combiner kills (the one place plans may kill)
-         against a sum oracle on the flat-combining lease. *)
+         evaluation-policy helper fires every noted thunk exactly once,
+         with kill plans making single force thunks raise; [fclease]
+         drives combiner kills against a sum oracle on the
+         flat-combining lease. *)
       {
         name = "slack";
         kind = P.Stack;
         condition = Lin.Order.Strong;
-        kill_plan = false;
+        kill_plan = true;
         runner = RSlack;
       };
       {
@@ -410,7 +411,12 @@ let multi_run cond prog =
 
 (* Exactly-once oracle on the Slack evaluation-policy helper: every
    noted thunk must run exactly once, and nothing may remain pending
-   after drain — under any stall plan. *)
+   after drain — under any stall plan. A thunk hits [slack.force] after
+   counting its run, so a plan's kill step there makes that thunk raise
+   once; the worker catches it, as a caller of [note]/[drain] would, and
+   drains again until nothing is left. *)
+let slack_kill_points = [ "slack.force" ]
+
 let slack_run (prog : P.t) =
   let errors = Atomic.make [] in
   let report msg =
@@ -421,6 +427,12 @@ let slack_run (prog : P.t) =
     add ()
   in
   let ops = ref 0 in
+  let caught f = try f () with Faults.Killed _ -> () in
+  let rec settle sl =
+    match Fl.Slack.drain sl with
+    | () -> ()
+    | exception Faults.Killed _ -> settle sl
+  in
   List.iter
     (fun phase ->
       let threads = prog.P.threads in
@@ -435,13 +447,16 @@ let slack_run (prog : P.t) =
           (fun (st : P.step) ->
             Faults.point "fuzz.step";
             match st.P.op with
-            | P.Force -> Fl.Slack.drain sl
+            | P.Force -> caught (fun () -> Fl.Slack.drain sl)
             | _ ->
                 let id = !next in
                 incr next;
-                Fl.Slack.note sl (fun () -> runs.(id) <- runs.(id) + 1))
+                caught (fun () ->
+                    Fl.Slack.note sl (fun () ->
+                        runs.(id) <- runs.(id) + 1;
+                        Faults.point "slack.force")))
           phase.(i);
-        Fl.Slack.drain sl;
+        settle sl;
         if Fl.Slack.pending sl <> 0 then
           report
             (Printf.sprintf "slack: thread %d: %d thunks still pending" i
@@ -782,6 +797,9 @@ let service_run cond (prog : P.t) ~with_kills =
       })
 
 (* ------------------------------ run ------------------------------- *)
+
+let kill_points t =
+  match t.runner with RSlack -> slack_kill_points | _ -> Plan.kill_points
 
 let run ?condition (t : target) (prog : P.t) (plan : Plan.t) =
   if Plan.has_kills plan && not t.kill_plan then

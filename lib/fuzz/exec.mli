@@ -7,7 +7,8 @@
     flushing), every operation is recorded through {!Lin.History}, and
     the merged history is checked with the exact segmented search. A few
     are {e oracle} targets with no recorded history: [slack]
-    (exactly-once evaluation policy), [fclease] (flat-combining
+    (exactly-once evaluation policy, with kill plans marking force
+    thunks that raise once), [fclease] (flat-combining
     combiner-lease sum oracle) and [shardmap] (sharded-map transfer
     protocol: liveness — no future outlives the recovery drain — and
     store refinement under kills at every protocol step). Targets with
@@ -60,6 +61,11 @@ val targets : target list
 
 val find : string -> target
 (** Raises [Invalid_argument] for unknown names. *)
+
+val kill_points : target -> string list
+(** The points the target's generated kill steps are drawn from:
+    [slack.force] for [slack] (a kill there makes that one force thunk
+    raise), {!Plan.kill_points} for every other target. *)
 
 val record_stack :
   impl:string ->

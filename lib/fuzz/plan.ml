@@ -60,7 +60,8 @@ let kill_points =
 
 let pick rng l = List.nth l (Rng.below rng (List.length l))
 
-let generate ?(intensity = 12) ?(horizon = 160) ?(kills = false) ~seed () =
+let generate ?(intensity = 12) ?(horizon = 160) ?(kills = false)
+    ?(kill_points = kill_points) ~seed () =
   let rng = Rng.create ~seed ~stream:0x504c in
   init_list intensity (fun _ ->
       let kill = kills && Rng.below rng 4 = 0 in

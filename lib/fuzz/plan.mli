@@ -20,15 +20,22 @@ val stall_points : string list
     before every program step). *)
 
 val kill_points : string list
-(** Points kill actions are restricted to: the flat-combining and shard
-    transfer protocol points, plus the self-tuning controller's
-    ["tune.epoch"]. *)
+(** The default points kill actions are drawn from: the flat-combining
+    and shard transfer protocol points, plus the self-tuning
+    controller's ["tune.epoch"]. *)
 
 val generate :
-  ?intensity:int -> ?horizon:int -> ?kills:bool -> seed:int -> unit -> t
+  ?intensity:int ->
+  ?horizon:int ->
+  ?kills:bool ->
+  ?kill_points:string list ->
+  seed:int ->
+  unit ->
+  t
 (** [intensity] steps (default 12), hit indices uniform in
-    [0, horizon) (default 160). Deterministic in [(intensity, horizon,
-    kills, seed)]. *)
+    [0, horizon) (default 160); kill steps, when [kills] is set, at one
+    of [kill_points] (default {!kill_points}). Deterministic in
+    [(intensity, horizon, kills, kill_points, seed)]. *)
 
 val has_kills : t -> bool
 

@@ -9,38 +9,62 @@ let cas t expected desired =
   Sync.Cas_counter.incr t.casc;
   Atomic.compare_and_set t.head expected desired
 
+(* Every retry loop below makes one attempt first and allocates its
+   backoff only once that attempt's CAS has failed; the loops are
+   top-level functions, so an uncontended call builds no closure. *)
+
+(* One attempt to splice the private chain [top .. bottom] (with
+   [top = Some top_node]) onto the current head. Only the bottom link is
+   patched on a retry. *)
+let try_link t top bottom =
+  let head = Atomic.get t.head in
+  bottom.next <- head;
+  cas t head top
+
+let rec link_with t b top bottom =
+  Sync.Backoff.once b;
+  if not (try_link t top bottom) then link_with t b top bottom
+
+let link t top bottom =
+  if not (try_link t top bottom) then
+    link_with t (Sync.Backoff.create ()) top bottom
+
+(* The [n]-th node of the chain from [node] ([node] being the first), or
+   its last node if it is shorter. *)
+let rec nth_or_last node n =
+  if n <= 1 then node
+  else match node.next with None -> node | Some nxt -> nth_or_last nxt (n - 1)
+
+(* One attempt to detach the top [n] nodes of the reading [head] with
+   one CAS. A detached chain keeps its links: the node below the last
+   one taken is still reachable from it, so readers count to [n]. *)
+let try_detach t head n =
+  match head with
+  | None -> true
+  | Some first -> cas t head (nth_or_last first n).next
+
+let rec detach_with t b n =
+  Sync.Backoff.once b;
+  let head = Atomic.get t.head in
+  if try_detach t head n then head else detach_with t b n
+
+(* Detach the top [n] nodes (fewer if the stack runs out); returns the
+   head that was detached from, [None] if the stack was empty. *)
+let detach t n =
+  let head = Atomic.get t.head in
+  if try_detach t head n then head
+  else detach_with t (Sync.Backoff.create ()) n
+
 let push t x =
   let node = { value = x; next = None } in
-  let b = Sync.Backoff.create () in
-  let rec loop () =
-    let head = Atomic.get t.head in
-    node.next <- head;
-    if not (cas t head (Some node)) then begin
-      Sync.Backoff.once b;
-      loop ()
-    end
-  in
-  loop ()
+  link t (Some node) node
 
-let pop t =
-  let b = Sync.Backoff.create () in
-  let rec loop () =
-    match Atomic.get t.head with
-    | None -> None
-    | Some node as head ->
-        if cas t head node.next then Some node.value
-        else begin
-          Sync.Backoff.once b;
-          loop ()
-        end
-  in
-  loop ()
+let pop t = match detach t 1 with None -> None | Some n -> Some n.value
 
 let peek t =
   match Atomic.get t.head with None -> None | Some n -> Some n.value
 
-(* Build the chain [xn -> ... -> x1] once; only the bottom link is patched
-   on each retry. Returns (top, bottom). *)
+(* Build the chain [xn -> ... -> x1] once; returns (top, bottom). *)
 let chain_of_list xs =
   match xs with
   | [] -> None
@@ -52,17 +76,7 @@ let chain_of_list xs =
 let push_list t xs =
   match chain_of_list xs with
   | None -> ()
-  | Some (top, bottom) ->
-      let b = Sync.Backoff.create () in
-      let rec loop () =
-        let head = Atomic.get t.head in
-        bottom.next <- head;
-        if not (cas t head (Some top)) then begin
-          Sync.Backoff.once b;
-          loop ()
-        end
-      in
-      loop ()
+  | Some (top, bottom) -> link t (Some top) bottom
 
 (* Indexed-segment variants of [push_list]/[pop_many]: the FL flush
    paths feed them straight from a ring buffer, so a whole pending
@@ -71,90 +85,33 @@ let push_list t xs =
 let push_seg t ~n ~get =
   if n < 0 then invalid_arg "Treiber_stack.push_seg: negative count";
   if n > 0 then begin
-    (* Index 0 is pushed deepest (the oldest pending push); only the
-       bottom link is patched on each retry. *)
+    (* Index 0 is pushed deepest (the oldest pending push). *)
     let bottom = { value = get 0; next = None } in
     let top = ref bottom in
     for i = 1 to n - 1 do
       top := { value = get i; next = Some !top }
     done;
-    let top = !top in
-    let b = Sync.Backoff.create () in
-    let rec loop () =
-      let head = Atomic.get t.head in
-      bottom.next <- head;
-      if not (cas t head (Some top)) then begin
-        Sync.Backoff.once b;
-        loop ()
-      end
-    in
-    loop ()
+    link t (Some !top) bottom
   end
+
+(* Hand the values of a detached chain to [f], top first, stopping after
+   the [n]-th; returns the count handed out. *)
+let rec deliver f n node i =
+  f i node.value;
+  let i = i + 1 in
+  if i = n then i
+  else match node.next with None -> i | Some nxt -> deliver f n nxt i
 
 let pop_seg t ~n ~f =
   if n < 0 then invalid_arg "Treiber_stack.pop_seg: negative count";
   if n = 0 then 0
-  else
-    let b = Sync.Backoff.create () in
-    let rec loop () =
-      match Atomic.get t.head with
-      | None -> 0
-      | Some first as head ->
-          (* Find the split point, detach with one CAS, then hand out the
-             values of the now-private chain: [f i v] with i = 0 for the
-             value that was on top. *)
-          let rec walk node k =
-            if k = n then (k, node.next)
-            else
-              match node.next with
-              | None -> (k, None)
-              | Some nxt -> walk nxt (k + 1)
-          in
-          let k, rest = walk first 1 in
-          if cas t head rest then begin
-            let rec deliver node i =
-              f i node.value;
-              if i + 1 < k then
-                match node.next with
-                | Some nxt -> deliver nxt (i + 1)
-                | None -> assert false
-            in
-            deliver first 0;
-            k
-          end
-          else begin
-            Sync.Backoff.once b;
-            loop ()
-          end
-    in
-    loop ()
+  else match detach t n with None -> 0 | Some first -> deliver f n first 0
 
 let pop_many t n =
   if n < 0 then invalid_arg "Treiber_stack.pop_many: negative count";
-  if n = 0 then []
-  else
-    let b = Sync.Backoff.create () in
-    let rec loop () =
-      match Atomic.get t.head with
-      | None -> []
-      | Some first as head ->
-          (* Walk up to [n] nodes to find the remainder, collecting values
-             top-first. *)
-          let rec walk node k acc =
-            if k = n then (acc, node.next)
-            else
-              match node.next with
-              | None -> (acc, None)
-              | Some nxt -> walk nxt (k + 1) (nxt.value :: acc)
-          in
-          let rev_values, rest = walk first 1 [ first.value ] in
-          if cas t head rest then List.rev rev_values
-          else begin
-            Sync.Backoff.once b;
-            loop ()
-          end
-    in
-    loop ()
+  let acc = ref [] in
+  ignore (pop_seg t ~n ~f:(fun _ v -> acc := v :: !acc) : int);
+  List.rev !acc
 
 let is_empty t = Atomic.get t.head = None
 

@@ -5,7 +5,18 @@
     medium-FL stacks (Kogan & Herlihy §4): a chain of nodes is prepared
     locally, its last node is linked to the current top, and one CAS swings
     the top pointer; symmetrically, [pop_many] removes a whole prefix with
-    one CAS. All operations are lock-free and linearizable. *)
+    one CAS. All operations are lock-free and linearizable.
+
+    An uncontended call allocates only what it hands over: [push] and
+    [push_seg] the nodes and their links, [pop] the result option,
+    [pop_seg] nothing. A backoff is made only after a CAS has failed.
+
+    {b Node layout.} A node is a record whose [next] is an ['a node
+    option], so a link costs a 2-word [Some] beside the 3-word node. The
+    one-block layout the Michael–Scott queue uses (the successor stored
+    directly, CASed as field 0) was measured here too and slowed the
+    slack-1 stack benchmark's p50 latency beyond its bound, so the
+    record-plus-option layout is kept. *)
 
 type 'a t
 

@@ -337,6 +337,23 @@ let test_fclease_survives_kills seed () =
       Alcotest.fail
         (Printf.sprintf "fclease seed %d: sum oracle violated: %s" seed msg)
 
+(* A kill step at [slack.force] makes that one force thunk raise; the
+   slack oracle still sees every thunk run exactly once and nothing left
+   pending. The hits named are reachable: every program step but a
+   [Force] notes one thunk. *)
+let test_slack_raising_thunks () =
+  let t = E.find "slack" in
+  Alcotest.(check bool) "slack declares kill plans" true t.E.kill_plan;
+  Alcotest.(check (list string)) "its kills mark force thunks"
+    [ "slack.force" ] (E.kill_points t);
+  let kill at = { Faults.pt = "slack.force"; at; act = Faults.Kill } in
+  let prog = P.generate t.E.kind ~seed:1 in
+  Alcotest.(check bool) "program notes enough thunks" true
+    (P.recorded_ops prog > 8);
+  match (E.run t prog [ kill 1; kill 4; kill 8 ]).E.verdict with
+  | E.Pass -> ()
+  | E.Violation msg -> Alcotest.fail ("slack oracle violated: " ^ msg)
+
 (* The sharded store's oracle target: kill plans may murder workers at
    any transfer protocol step, and the oracle still demands liveness
    (every future settled within the bounded recovery drain) and
@@ -579,7 +596,11 @@ let () =
         @ seeded "service admitted-subset conformance" kill_seeds
             test_service_conformance
         @ seeded "service oracle under kills" kill_seeds
-            test_service_survives_kills );
+            test_service_survives_kills
+        @ [
+            Alcotest.test_case "slack oracle with raising thunks" `Quick
+              test_slack_raising_thunks;
+          ] );
       ( "gauntlet",
         seeded "buggy check shrinks and replays" gauntlet_seeds
           test_buggy_target_shrinks_and_replays

@@ -463,6 +463,76 @@ let test_long_window () =
     (Printf.sprintf "%.1f words/op within budget 12.5" words)
     true (words <= 12.5)
 
+(* ------------- allocation budgets: slack-1 op path layers ------------- *)
+
+(* The layers a slack-1 op crosses besides its handle: [Slack.note]
+   forcing the thunk that fills the window, and the one-op Treiber
+   splices. Each row times 32,000 calls of one operation with
+   [words_per_op] (the 64-op rounds with nothing to flush) and divides
+   by the values one call moves. Skipped under FLDS_FAULTS, like the
+   budgets above. *)
+let calls = 64 * (10 + 500)
+
+let check_words label ?(per = 1) f budget =
+  if Faults.enabled () then Alcotest.skip ();
+  let words =
+    words_per_op ~op:(fun _ -> f ()) ~flush:ignore /. float_of_int per
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %.3f words within %.3f" label words budget)
+    true (words <= budget)
+
+(* The filling thunk is forced straight from [note]: at slack 1 a note
+   stores nothing and allocates nothing; at slack 20 the ring is reused,
+   so only the two float reads remain. *)
+let test_slack_note_alloc slack budget () =
+  let sl = Fl.Slack.create slack in
+  let forced = ref 0 in
+  let thunk () = incr forced in
+  check_words
+    (Printf.sprintf "slack-%d note" slack)
+    (fun () -> Fl.Slack.note sl thunk)
+    budget;
+  Alcotest.(check bool) "window below its bound" true
+    (Fl.Slack.pending sl < slack)
+
+(* An uncontended splice allocates only what it publishes: [push_seg] of
+   n values the n nodes (3 words) and their links (a 2-word [Some]),
+   [push] one of each, [pop] the result option and [pop_seg] nothing.
+   No backoff and no loop closure before a CAS has failed. The pop rows
+   start from a stack deep enough for every call. *)
+let treiber_rows =
+  let module T = Lockfree.Treiber_stack in
+  let n = 8 in
+  let stack depth =
+    let t = T.create () in
+    T.push_seg t ~n:depth ~get:Fun.id;
+    t
+  and sink = ref 0 in
+  let f _ v = sink := v in
+  [
+    ( "push_seg",
+      fun () ->
+        let t = stack 0 in
+        check_words "push_seg" ~per:n
+          (fun () -> T.push_seg t ~n ~get:Fun.id)
+          5.01 );
+    ( "pop_seg",
+      fun () ->
+        let t = stack (calls * n) in
+        check_words "pop_seg" ~per:n
+          (fun () -> ignore (T.pop_seg t ~n ~f : int))
+          0.01 );
+    ( "push",
+      fun () ->
+        let t = stack 0 in
+        check_words "push" (fun () -> T.push t 1) 5.01 );
+    ( "pop",
+      fun () ->
+        let t = stack calls in
+        check_words "pop" (fun () -> ignore (T.pop t : int option)) 2.01 );
+  ]
+
 (* ---------------- Slack drain reentrancy regression ------------------ *)
 
 (* A force thunk that reentrantly notes follow-up work must not corrupt
@@ -531,7 +601,15 @@ let () =
         @ [
             Alcotest.test_case "weak-stack 4,096-op window" `Quick
               test_long_window;
-          ] );
+            Alcotest.test_case "slack-1 note" `Quick
+              (test_slack_note_alloc 1 0.001);
+            Alcotest.test_case "slack-20 note" `Quick
+              (test_slack_note_alloc 20 0.1);
+          ]
+        @ List.map
+            (fun (name, test) ->
+              Alcotest.test_case ("treiber " ^ name) `Quick test)
+            treiber_rows );
       ( "slack",
         [
           Alcotest.test_case "reentrant note during drain" `Quick

@@ -222,6 +222,34 @@ let test_slack_oldest_first_order () =
   Fl.Slack.note s (fun () -> forced := 3 :: !forced);
   Alcotest.(check (list int)) "oldest first" [ 3; 2; 1 ] !forced
 
+(* A force thunk that raises leaves the window consistent: the thunk is
+   gone (it ran once), the thunks not yet run stay pending, and the next
+   drain runs each of them exactly once. Slack 3, notes 1, 2 and 3, and
+   thunk 2 raises the first time it runs. *)
+exception Thunk_failed
+
+let test_slack_raising_thunk order ~unrun () =
+  let runs = Array.make 4 0 in
+  let s = Fl.Slack.create ~order 3 in
+  let thunk id () =
+    runs.(id) <- runs.(id) + 1;
+    if id = 2 && runs.(id) = 1 then raise Thunk_failed
+  in
+  Fl.Slack.note s (thunk 1);
+  Fl.Slack.note s (thunk 2);
+  Alcotest.check_raises "the raise reaches the filling note" Thunk_failed
+    (fun () -> Fl.Slack.note s (thunk 3));
+  Alcotest.(check int) "un-run thunks still pending" 1 (Fl.Slack.pending s);
+  Alcotest.(check int) "thunk 2 ran once" 1 runs.(2);
+  Alcotest.(check int) "the un-run thunk did not run" 0 runs.(unrun);
+  Fl.Slack.drain s;
+  Alcotest.(check (array int)) "every thunk ran exactly once" [| 0; 1; 1; 1 |]
+    runs;
+  Alcotest.(check int) "nothing pending" 0 (Fl.Slack.pending s);
+  Fl.Slack.drain s;
+  Alcotest.(check (array int)) "a second drain runs nothing" [| 0; 1; 1; 1 |]
+    runs
+
 let test_zipf_skew () =
   let z = Workload.Distribution.zipf ~n:100 () in
   let rng = Workload.Rng.create ~seed:17 ~stream:0 in
@@ -691,6 +719,10 @@ let () =
           Alcotest.test_case "oldest-first order" `Quick
             test_slack_oldest_first_order;
           Alcotest.test_case "invalid" `Quick test_slack_invalid;
+          Alcotest.test_case "raising thunk, newest first" `Quick
+            (test_slack_raising_thunk Fl.Slack.Newest_first ~unrun:1);
+          Alcotest.test_case "raising thunk, oldest first" `Quick
+            (test_slack_raising_thunk Fl.Slack.Oldest_first ~unrun:3);
         ] );
       ( "zipf",
         [

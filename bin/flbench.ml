@@ -344,10 +344,14 @@ let fuzz_cmd =
             in
             (match r.Fuzz.Driver.first_failure with
             | None ->
-                Printf.printf "fuzz %-14s [%s]: %d iters, %d ops, ok%s\n"
+                Printf.printf
+                  "fuzz %-14s [%s]: %d iters, %d ops, ok, inert %d/%d steps \
+                   (%d/%d kills)%s\n"
                   r.Fuzz.Driver.target
                   (Lin.Order.condition_name r.Fuzz.Driver.condition)
                   r.Fuzz.Driver.iters r.Fuzz.Driver.total_ops
+                  r.Fuzz.Driver.inert_steps r.Fuzz.Driver.plan_steps
+                  r.Fuzz.Driver.inert_kills r.Fuzz.Driver.kill_steps
                   (if r.Fuzz.Driver.fsc_witnesses > 0 then
                      Printf.sprintf " (%d Figure-3 Fsc witnesses)"
                        r.Fuzz.Driver.fsc_witnesses

@@ -7,6 +7,10 @@ type report = {
   total_ops : int;
   violations : int;
   fsc_witnesses : int;
+  plan_steps : int;
+  inert_steps : int;
+  kill_steps : int;
+  inert_kills : int;
   repro_path : string option;
   shrunk_ops : int option;
   shrunk_plan : int option;
@@ -15,7 +19,10 @@ type report = {
 
 (* Per-iteration seeds derive from the campaign seed through dedicated
    rng streams, so iteration [i]'s program and plan are pure functions
-   of [(seed, i)] — the determinism contract of `flbench fuzz --seed`. *)
+   of [(seed, i)] — the determinism contract of `flbench fuzz --seed`.
+   A kill-plan target's kill steps also depend on a dry run of the
+   iteration's program (its kill horizon), which a multi-domain
+   schedule can vary. *)
 let derived ~seed ~iter =
   let rng = Rng.create ~seed ~stream:iter in
   let prog_seed = Rng.next rng in
@@ -43,17 +50,32 @@ let fuzz ?(size = Program.default_size) ?condition ?(iters = 20)
     go 0
   in
   let total_ops = ref 0 and fsc = ref 0 in
+  let steps = ref 0 and inert = ref 0 in
+  let kills = ref 0 and inert_kills = ref 0 in
+  let count plan (out : Exec.outcome) =
+    let n_kills l =
+      List.length (List.filter (fun s -> s.Faults.act = Faults.Kill) l)
+    in
+    steps := !steps + List.length plan;
+    inert := !inert + List.length out.Exec.inert;
+    kills := !kills + n_kills plan;
+    inert_kills := !inert_kills + n_kills out.Exec.inert
+  in
   let rec loop i =
     if i >= iters || Sync.Mono.now () > deadline then None
     else begin
       let prog_seed, plan_seed = derived ~seed ~iter:i in
       let prog = Program.generate ~size t.Exec.kind ~seed:prog_seed in
+      let reach =
+        if t.Exec.kill_plan then Some (Exec.reach t prog) else None
+      in
       let plan =
         Plan.generate ~kills:t.Exec.kill_plan
-          ~kill_points:(Exec.kill_points t) ~intensity:plan_intensity
+          ~kill_points:(Exec.kill_points t) ?reach ~intensity:plan_intensity
           ~seed:plan_seed ()
       in
       let out = Exec.run ~condition t prog plan in
+      count plan out;
       total_ops := !total_ops + out.Exec.ops;
       if out.Exec.fsc_witness then incr fsc;
       match out.Exec.verdict with
@@ -70,6 +92,10 @@ let fuzz ?(size = Program.default_size) ?condition ?(iters = 20)
         total_ops = !total_ops;
         violations = 0;
         fsc_witnesses = !fsc;
+        plan_steps = !steps;
+        inert_steps = !inert;
+        kill_steps = !kills;
+        inert_kills = !inert_kills;
         repro_path = None;
         shrunk_ops = None;
         shrunk_plan = None;
@@ -94,6 +120,10 @@ let fuzz ?(size = Program.default_size) ?condition ?(iters = 20)
         total_ops = !total_ops;
         violations = 1;
         fsc_witnesses = !fsc;
+        plan_steps = !steps;
+        inert_steps = !inert;
+        kill_steps = !kills;
+        inert_kills = !inert_kills;
         repro_path = Some path;
         shrunk_ops = Some (Program.recorded_ops prog);
         shrunk_plan = Some (List.length plan);

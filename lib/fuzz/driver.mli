@@ -3,7 +3,9 @@
     One campaign fuzzes one target. Iteration [i] derives a program seed
     and a plan seed from [(seed, i)] through dedicated rng streams, so
     the whole campaign — programs, plans, and (for deterministic
-    failures) verdicts — is a pure function of the campaign seed. The
+    failures) verdicts — is a pure function of the campaign seed, except
+    that a kill-plan target first dry-runs each program ({!Exec.reach})
+    and draws its kill steps only where that run reached. The
     campaign stops at the first violation: the counterexample is shrunk
     (program first, then plan) and written as
     [<out_dir>/<seed>.repro]. *)
@@ -17,6 +19,10 @@ type report = {
   fsc_witnesses : int;
       (** iterations where [fig3] exhibited the Figure-3 global-Fsc
           failure over per-object-correct queues *)
+  plan_steps : int;  (** plan steps generated over all iterations *)
+  inert_steps : int;  (** of those, steps whose hit never came *)
+  kill_steps : int;  (** plan steps that kill *)
+  inert_kills : int;  (** of those, kill steps whose hit never came *)
   repro_path : string option;
   shrunk_ops : int option;  (** recorded ops in the shrunk program *)
   shrunk_plan : int option;  (** steps in the shrunk plan *)

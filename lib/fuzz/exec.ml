@@ -27,7 +27,12 @@ module SM = Fl.Shard_map.Make (IntKeyH)
 
 type verdict = Pass | Violation of string
 
-type outcome = { verdict : verdict; ops : int; fsc_witness : bool }
+type outcome = {
+  verdict : verdict;
+  ops : int;
+  fsc_witness : bool;
+  inert : Faults.plan_step list;
+}
 
 type runner =
   | RStack of R.stack_impl
@@ -218,7 +223,7 @@ let checked ~check_segmented ~pp_history ~name cond h =
         (Lin.Order.condition_name cond)
         pp_history h
   in
-  { verdict; ops = Array.length h; fsc_witness = false }
+  { verdict; ops = Array.length h; fsc_witness = false; inert = [] }
 
 let stack_record_inst (inst : R.stack_instance) prog =
   let handler ~clock ~thread ~log =
@@ -483,7 +488,7 @@ let slack_run (prog : P.t) =
     | [] -> Pass
     | msgs -> Violation (String.concat "\n" (List.rev msgs))
   in
-  { verdict; ops = !ops; fsc_witness = false }
+  { verdict; ops = !ops; fsc_witness = false; inert = [] }
 
 (* Combiner-lease oracle: every step applies +1 through flat combining;
    plans may kill the combiner mid-pass ([fc.pass]/[fc.record]). An op
@@ -526,7 +531,7 @@ let fclease_run (prog : P.t) =
          (expected in [%d, %d])"
         n k !sum n (n + k)
   in
-  { verdict; ops = n + k; fsc_witness = false }
+  { verdict; ops = n + k; fsc_witness = false; inert = [] }
 
 (* Sharded-map oracle: Bind/Lookup/Unbind run against a 2-bucket store
    with short leases; plans may stall or kill at [shard.apply] (holding
@@ -617,7 +622,7 @@ let shardmap_run (prog : P.t) =
         (List.length alien)
     else Pass
   in
-  { verdict; ops = Atomic.get ops; fsc_witness = false }
+  { verdict; ops = Atomic.get ops; fsc_witness = false; inert = [] }
 
 (* Service oracle: the admission-controlled session path. Map programs
    run against a 2-bucket sharded store behind a live [Overload]
@@ -794,6 +799,7 @@ let service_run cond (prog : P.t) ~with_kills =
         verdict;
         ops = Atomic.get admitted + Atomic.get shed;
         fsc_witness = false;
+        inert = [];
       })
 
 (* ------------------------------ run ------------------------------- *)
@@ -801,23 +807,45 @@ let service_run cond (prog : P.t) ~with_kills =
 let kill_points t =
   match t.runner with RSlack -> slack_kill_points | _ -> Plan.kill_points
 
+(* Execute [prog] with [plan] installed and return [after ()], read
+   while the plan's hit counters still stand. *)
+let execute cond t prog plan ~after =
+  Faults.install_plan plan;
+  Fun.protect
+    ~finally:(fun () -> Faults.uninstall_plan plan)
+    (fun () ->
+      let out =
+        match t.runner with
+        | RStack i -> stack_run i cond prog
+        | RQueue i -> queue_run i cond prog
+        | RSet i -> set_run i cond prog
+        | RMap -> map_run cond prog
+        | RMulti -> multi_run cond prog
+        | RSlack -> slack_run prog
+        | RFclease -> fclease_run prog
+        | RShard -> shardmap_run prog
+        | RTuned -> tuned_run cond prog
+        | RService -> service_run cond prog ~with_kills:(Plan.has_kills plan)
+      in
+      after out)
+
 let run ?condition (t : target) (prog : P.t) (plan : Plan.t) =
   if Plan.has_kills plan && not t.kill_plan then
     invalid_arg
       ("Fuzz.Exec.run: kill plan against history-checked target " ^ t.name);
   let cond = Option.value condition ~default:t.condition in
-  Faults.install_plan plan;
-  Fun.protect
-    ~finally:(fun () -> Faults.uninstall_plan plan)
-    (fun () ->
-      match t.runner with
-      | RStack i -> stack_run i cond prog
-      | RQueue i -> queue_run i cond prog
-      | RSet i -> set_run i cond prog
-      | RMap -> map_run cond prog
-      | RMulti -> multi_run cond prog
-      | RSlack -> slack_run prog
-      | RFclease -> fclease_run prog
-      | RShard -> shardmap_run prog
-      | RTuned -> tuned_run cond prog
-      | RService -> service_run cond prog ~with_kills:(Plan.has_kills plan))
+  execute cond t prog plan ~after:(fun out ->
+      let inert (s : Faults.plan_step) =
+        Faults.hits s.Faults.pt <= s.Faults.at
+      in
+      { out with inert = List.filter inert plan })
+
+(* A dry run scripts every kill point with [Nothing] (at hit -1, which
+   never comes), so each hit is counted and none is perturbed. *)
+let reach (t : target) (prog : P.t) =
+  let pts = kill_points t in
+  let probe =
+    List.map (fun pt -> { Faults.pt; at = -1; act = Faults.Nothing }) pts
+  in
+  execute t.condition t prog probe ~after:(fun _ ->
+      List.map (fun pt -> (pt, Faults.hits pt)) pts)

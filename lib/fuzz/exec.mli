@@ -41,6 +41,9 @@ type outcome = {
           futures-sequential-consistency check failed — the paper's
           Figure-3 non-compositionality witness. Informational, never a
           violation. *)
+  inert : Faults.plan_step list;
+      (** the plan's steps that never fired: their point was hit no
+          more than [at] times during the run *)
 }
 
 type runner
@@ -66,6 +69,13 @@ val kill_points : target -> string list
 (** The points the target's generated kill steps are drawn from:
     [slack.force] for [slack] (a kill there makes that one force thunk
     raise), {!Plan.kill_points} for every other target. *)
+
+val reach : target -> Program.t -> (string * int) list
+(** A dry run: execute the program with nothing perturbed and return
+    how many times each of the target's {!kill_points} was hit. A kill
+    step at hit [k] of point [p] fires only if [k] is below [p]'s
+    count, so this sizes the target's kill horizon
+    ({!Plan.generate}'s [reach]). The dry run's verdict is discarded. *)
 
 val record_stack :
   impl:string ->

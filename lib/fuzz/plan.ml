@@ -25,6 +25,7 @@ let stall_points =
     "elim.park";
     "spinlock.acquire";
     "backoff.once";
+    "arrival.wait";
     "shard.apply";
     "shard.grant";
     "shard.ship";
@@ -60,13 +61,34 @@ let kill_points =
 
 let pick rng l = List.nth l (Rng.below rng (List.length l))
 
-let generate ?(intensity = 12) ?(horizon = 160) ?(kills = false)
-    ?(kill_points = kill_points) ~seed () =
+(* With [reach] (a dry run's hit count per kill point), a kill step
+   picks only a point the dry run reached and a hit index below its
+   count, so it lands; a target that reached no kill point gets stall
+   steps only. *)
+(* Hit indices of stall steps, and of kill steps without [reach]. *)
+let horizon = 160
+
+let generate ?(intensity = 12) ?(kills = false) ?(kill_points = kill_points)
+    ?reach ~seed () =
   let rng = Rng.create ~seed ~stream:0x504c in
+  (* Each kill point with the horizon of its hit index. *)
+  let kill_at =
+    match reach with
+    | None -> List.map (fun pt -> (pt, horizon)) kill_points
+    | Some r ->
+        List.filter_map
+          (fun pt ->
+            match List.assoc_opt pt r with
+            | Some n when n > 0 -> Some (pt, n)
+            | _ -> None)
+          kill_points
+  in
   init_list intensity (fun _ ->
-      let kill = kills && Rng.below rng 4 = 0 in
-      let pt = if kill then pick rng kill_points else pick rng stall_points in
-      let at = Rng.below rng horizon in
+      let kill = kills && kill_at <> [] && Rng.below rng 4 = 0 in
+      let pt, h =
+        if kill then pick rng kill_at else (pick rng stall_points, horizon)
+      in
+      let at = Rng.below rng h in
       let act =
         if kill then Faults.Kill
         else

@@ -26,16 +26,19 @@ val kill_points : string list
 
 val generate :
   ?intensity:int ->
-  ?horizon:int ->
   ?kills:bool ->
   ?kill_points:string list ->
+  ?reach:(string * int) list ->
   seed:int ->
   unit ->
   t
-(** [intensity] steps (default 12), hit indices uniform in
-    [0, horizon) (default 160); kill steps, when [kills] is set, at one
-    of [kill_points] (default {!kill_points}). Deterministic in
-    [(intensity, horizon, kills, kill_points, seed)]. *)
+(** [intensity] steps (default 12), hit indices uniform in [0, 160);
+    kill steps, when [kills] is set, at one of [kill_points] (default
+    {!kill_points}). [reach], a dry run's hit count per kill point
+    ({!Exec.reach}), sizes the kill horizon: a kill step then picks
+    only a point the dry run reached, with a hit index below its count,
+    and a target that reached none gets no kill steps. Deterministic in
+    [(intensity, kills, kill_points, reach, seed)]. *)
 
 val has_kills : t -> bool
 

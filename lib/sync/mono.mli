@@ -24,3 +24,14 @@ val now : unit -> float
 
 val elapsed_since : float -> float
 (** [elapsed_since t0] is [now () -. t0]. *)
+
+val wait_until_ns : int -> unit
+(** [wait_until_ns deadline] returns once [now_ns_int () >= deadline],
+    and at once when the deadline is already past. It sleeps through
+    the part of the gap that a sleep cannot overshoot (all but twice
+    this host's measured sleep overshoot, taken once per process at the
+    first wait) and waits out the rest in a loop that yields the CPU to
+    any other runnable thread on the core. So it wakes within a few µs
+    of the deadline, where a sleep would wake tens of µs late, and
+    burns no CPU on the long part of a gap. For clock deadlines only:
+    waiting for another domain's progress is {!Backoff}'s job. *)

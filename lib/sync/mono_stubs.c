@@ -5,6 +5,7 @@
 #include <caml/mlvalues.h>
 #include <caml/alloc.h>
 #include <stdint.h>
+#include <sched.h>
 #include <time.h>
 
 int64_t flds_mono_now_unboxed(value unit)
@@ -33,4 +34,14 @@ intnat flds_mono_now_int_unboxed(value unit)
 value flds_mono_now_int_byte(value unit)
 {
   return Val_long(flds_mono_now_int_unboxed(unit));
+}
+
+/* Give the CPU to any other runnable thread on this core and return at
+   once when there is none. The precise wait's last stretch loops on it,
+   so a waiter never starves a thread it shares a core with. */
+value flds_sched_yield(value unit)
+{
+  (void)unit;
+  sched_yield();
+  return Val_unit;
 }

@@ -9,10 +9,10 @@
    running from the intended stamp), which is what makes the recorded
    latency coordinated-omission-safe.
 
-   Short gaps are waited out on the monotonic clock with a yielding
-   [Sync.Backoff] rather than either a raw spin (which starves the
-   victim on oversubscribed hosts) or a sleep (whose scheduler rounding
-   would swamp microsecond gaps). *)
+   Gaps are waited out with [Sync.Mono.wait_until_ns]: a sleep for the
+   part of the gap a sleep cannot overshoot, then a loop that yields the
+   core, so a request issues within a few µs of its stamp and a waiter
+   never starves a thread it shares a core with. *)
 
 type t = Steady | Bursty of { burst : int; pause_ns : int }
 
@@ -21,16 +21,12 @@ let to_string = function
   | Bursty { burst; pause_ns } ->
       Printf.sprintf "bursty-%dx%dus" burst (pause_ns / 1_000)
 
-(* Backoff-wait until the monotonic clock reaches [deadline_ns]; returns
+(* Wait until the monotonic clock reaches [deadline_ns]; returns
    immediately when the deadline is already past (the open-loop
    generator is behind — it must issue, not skip). *)
 let wait_until_ns deadline_ns =
-  if Sync.Mono.now_ns_int () < deadline_ns then begin
-    let b = Sync.Backoff.create () in
-    while Sync.Mono.now_ns_int () < deadline_ns do
-      Sync.Backoff.once b
-    done
-  end
+  Faults.point "arrival.wait";
+  Sync.Mono.wait_until_ns deadline_ns
 
 (* ------------------------- closed-loop pacer ------------------------- *)
 

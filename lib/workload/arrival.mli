@@ -14,8 +14,8 @@
     running from the intended stamp. That is what makes latency
     recorded against these stamps coordinated-omission-safe.
 
-    All waits go through a yielding [Sync.Backoff] (never a raw spin),
-    and no rate, burst size or gap — including burst 1, a zero gap, and
+    All waits go through {!Sync.Mono.wait_until_ns} (a sleep, then a
+    loop that yields the core; never a raw spin), and no rate, burst size or gap — including burst 1, a zero gap, and
     arbitrarily high rates — can divide by zero or hang. *)
 
 type t = Steady | Bursty of { burst : int; pause_ns : int }
@@ -63,7 +63,8 @@ val next_arrival_ns : schedule -> int
     zero or going negative. *)
 
 val wait_until : int -> unit
-(** Backoff-wait (yielding past the spin threshold) until the monotonic
-    clock reaches the given stamp; returns immediately when the stamp
-    is already past — the open-loop generator is behind and must issue,
-    never skip. *)
+(** Wait until the monotonic clock reaches the given stamp, within a
+    few µs ({!Sync.Mono.wait_until_ns}); returns immediately when the
+    stamp is already past — the open-loop generator is behind and must
+    issue, never skip. Each call hits the fault point [arrival.wait]
+    once. *)

@@ -84,6 +84,44 @@ let test_plan_kills_confined () =
   done;
   Alcotest.(check bool) "kills do get generated" true !saw_kill
 
+(* With a dry run's reach, kill steps go only to points the run hit,
+   at hit indices below its counts; a target that reached no kill point
+   gets none. *)
+let test_plan_kill_horizon_sized () =
+  let reach = [ ("fc.pass", 3); ("shard.ack", 0) ] in
+  for seed = 1 to 40 do
+    List.iter
+      (fun (s : Faults.plan_step) ->
+        if s.Faults.act = Faults.Kill then
+          Alcotest.(check bool)
+            (Printf.sprintf "kill at a reached hit (%s %d)" s.Faults.pt
+               s.Faults.at)
+            true
+            (s.Faults.pt = "fc.pass" && s.Faults.at < 3))
+      (Pl.generate ~kills:true ~reach ~seed ());
+    Alcotest.(check bool) "no kill without reach" false
+      (Pl.has_kills (Pl.generate ~kills:true ~reach:[] ~seed ()))
+  done
+
+(* The [slack] target hits [slack.force] once per noted thunk, whatever
+   the schedule, so every kill step sized from its dry run fires. *)
+let test_slack_kill_steps_land () =
+  let t = E.find "slack" in
+  let kills = ref 0 in
+  for seed = 1 to 10 do
+    let prog = P.generate t.E.kind ~seed in
+    let plan =
+      Pl.generate ~kills:true ~kill_points:(E.kill_points t)
+        ~reach:(E.reach t prog) ~seed ()
+    in
+    let out = E.run t prog plan in
+    let is_kill (s : Faults.plan_step) = s.Faults.act = Faults.Kill in
+    kills := !kills + List.length (List.filter is_kill plan);
+    Alcotest.(check int) "inert kill steps" 0
+      (List.length (List.filter is_kill out.E.inert))
+  done;
+  Alcotest.(check bool) "kills do get generated" true (!kills > 0)
+
 (* --------------------------- repro files ----------------------------- *)
 
 let test_repro_roundtrip () =
@@ -567,6 +605,10 @@ let () =
             test_plan_deterministic;
           Alcotest.test_case "kills confined to lease points" `Quick
             test_plan_kills_confined;
+          Alcotest.test_case "kill horizon sized by reach" `Quick
+            test_plan_kill_horizon_sized;
+          Alcotest.test_case "sized slack kills land" `Quick
+            test_slack_kill_steps_land;
         ] );
       ( "repro",
         [

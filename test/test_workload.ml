@@ -424,6 +424,70 @@ let test_arrival_process_names () =
   Alcotest.(check string) "burst" "burst-8x1000/s"
     (Workload.Arrival.process_to_string (Burst { rate = 1_000.0; burst = 8 }))
 
+(* The pacer's timing tests read wall and CPU clocks; FLDS_FAULTS
+   perturbs every wait at [arrival.wait], so they skip under it. *)
+
+(* Two domains whose first wait starts at once both measure the sleep
+   overshoot; neither may raise (a [Lazy] would raise [Undefined] in one
+   of them) or hang. Listed before the other timing tests so it makes
+   the process's first real wait. *)
+let test_arrival_concurrent_first_waits () =
+  if Faults.enabled () then Alcotest.skip ();
+  let barrier = Sync.Barrier.create 2 in
+  let waiter () =
+    Sync.Barrier.wait barrier;
+    Workload.Arrival.wait_until (Sync.Mono.now_ns_int () + 2_000_000)
+  in
+  let ds = List.init 2 (fun _ -> Domain.spawn waiter) in
+  List.iter Domain.join ds
+
+let median_lateness_us ~gap_ns ~n =
+  let late =
+    Array.init n (fun _ ->
+        let deadline = Sync.Mono.now_ns_int () + gap_ns in
+        Workload.Arrival.wait_until deadline;
+        Sync.Mono.now_ns_int () - deadline)
+  in
+  Array.sort compare late;
+  float_of_int late.(n / 2) /. 1e3
+
+(* A wait ends within a few µs of its deadline. A bare 1 µs sleep wakes
+   about 57 µs late under Linux's default timer slack, which is longer
+   than the service's mean gap between arrivals. A waiter that yields a
+   core shared with a busy task (another test process, say) loses a
+   whole timeslice, about 4 ms, so each gap keeps the best of up to five
+   rounds. *)
+let test_arrival_waits_on_time () =
+  if Faults.enabled () then Alcotest.skip ();
+  List.iter
+    (fun gap_ns ->
+      let rec best round acc =
+        if round = 5 || acc <= 15.0 then acc
+        else best (round + 1) (min acc (median_lateness_us ~gap_ns ~n:200))
+      in
+      let med = best 0 infinity in
+      Alcotest.(check bool)
+        (Printf.sprintf "median lateness %.1f us <= 15 us at a %d us gap" med
+           (gap_ns / 1_000))
+        true (med <= 15.0))
+    [ 10_000; 67_000 ]
+
+(* A long wait sleeps rather than spinning: a 20 ms wait spends under a
+   quarter of its wall time on the CPU. *)
+let test_arrival_long_gap_sleeps () =
+  if Faults.enabled () then Alcotest.skip ();
+  Workload.Arrival.wait_until (Sync.Mono.now_ns_int () + 100_000);
+  let cpu () =
+    let t = Unix.times () in
+    t.Unix.tms_utime +. t.Unix.tms_stime
+  in
+  let c0 = cpu () and w0 = Sync.Mono.now () in
+  Workload.Arrival.wait_until (Sync.Mono.now_ns_int () + 20_000_000);
+  let share = (cpu () -. c0) /. (Sync.Mono.now () -. w0) in
+  Alcotest.(check bool)
+    (Printf.sprintf "CPU share %.0f%% < 25%%" (share *. 100.0))
+    true (share < 0.25)
+
 (* ------------------------------ overload ------------------------------ *)
 
 module Ov = Workload.Overload
@@ -749,6 +813,12 @@ let () =
           Alcotest.test_case "wait_until past deadline" `Quick
             test_arrival_wait_until_past;
           Alcotest.test_case "process names" `Quick test_arrival_process_names;
+          Alcotest.test_case "concurrent first waits" `Quick
+            test_arrival_concurrent_first_waits;
+          Alcotest.test_case "waits land on time" `Quick
+            test_arrival_waits_on_time;
+          Alcotest.test_case "long gaps sleep" `Quick
+            test_arrival_long_gap_sleeps;
         ] );
       ( "overload",
         [

@@ -23,7 +23,8 @@ bench-full:
 bench-json:
 	mkdir -p results
 	dune exec bench/main.exe -- micro --obs --json results/BENCH_micro.json
-	dune exec bench/main.exe -- fig4 --quick --json results/BENCH_fig4.json
+	dune exec bench/main.exe -- fig4 --threads 1,2 --ops 200000 --repeats 3 \
+		--json results/BENCH_fig4.json
 	dune exec bench/main.exe -- fig5 --threads 1,2 --ops 200000 --repeats 3 \
 		--json results/BENCH_fig5.json
 	dune exec bench/main.exe -- fig6 --threads 1,2 --ops 20000 --repeats 3 \

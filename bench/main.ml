@@ -552,12 +552,13 @@ let obs_overhead () =
 
 (* Cross-domain probe behind [trace] (and appended to [micro] when the
    recorder is on, so a `micro --trace` run always carries multi-domain
-   events): two domains share one weak stack with the exchange array and
-   one flat-combining stack, emitting every event family — future
-   lifecycle including cancellations, window splices, elimination hits
-   and misses, combiner leases — from at least two domains. *)
+   events): two domains share one weak stack and one flat-combining
+   stack, then exchange through an elimination array, emitting every
+   event family — future lifecycle including cancellations, window
+   splices, elimination hits and misses, combiner leases — from at least
+   two domains. *)
 let obs_probe () =
-  let s = Fl.Weak_stack.create ~elimination:true ~exchange:true () in
+  let s = Fl.Weak_stack.create () in
   let fc = Combining.Fc_stack.create () in
   let ops = 2_000 in
   let worker seed () =
@@ -588,9 +589,11 @@ let obs_probe () =
   Domain.join d1;
   Domain.join d2;
   (* Guaranteed elimination hits: one domain parks takes while this one
-     probes gives until each is claimed (bounded, in case a parked offer
-     times out against a descheduled partner). *)
-  let ex = Lockfree.Exchanger.create () in
+     gives until each value is claimed. One slot, so a give and a parked
+     take always meet; a long patience keeps retries (one miss event
+     each) rare, and the retry budget bounds the loop in case a parked
+     take times out against a descheduled partner. *)
+  let ex = Lockfree.Exchanger.create ~capacity:1 () in
   let taker =
     Domain.spawn (fun () ->
         for _ = 1 to 16 do
@@ -598,15 +601,9 @@ let obs_probe () =
         done)
   in
   for _ = 1 to 16 do
-    (* Probe only while a take is actually parked: a blind retry loop
-       would flood the ring with one miss event per empty probe. *)
-    let budget = ref 1_000_000 in
-    let gave = ref false in
-    while (not !gave) && !budget > 0 do
-      decr budget;
-      if Lockfree.Exchanger.takers_waiting ex then
-        gave := Lockfree.Exchanger.try_give ex 1
-      else Domain.cpu_relax ()
+    let budget = ref 1_000 in
+    while !budget > 0 && not (Lockfree.Exchanger.give ~patience:10_000 ex 1) do
+      decr budget
     done
   done;
   Domain.join taker

@@ -32,7 +32,7 @@ type outcome = {
 let claimed_condition = function
   | "lockfree" | "elim" | "flatcomb" | "strong" -> Lin.Order.Strong
   | "medium" | "txn" -> Lin.Order.Medium
-  | "weak" | "weak-x" -> Lin.Order.Weak
+  | "weak" -> Lin.Order.Weak
   | name -> invalid_arg ("Conformance: unknown implementation " ^ name)
 
 (* One recorded round: [threads] domains, each performing [ops] operations

@@ -55,8 +55,7 @@ let lockfree_stack () =
 
 (* A weak/medium stack: per-handle pending windows over a shared Treiber
    stack, nothing to drain. *)
-let handle_stack ?(dials = fun () -> []) shared ~handle ~push ~pop ~flush
-    ~abandon =
+let handle_stack shared ~handle ~push ~pop ~flush ~abandon =
   {
     s_handle =
       (fun () ->
@@ -70,23 +69,17 @@ let handle_stack ?(dials = fun () -> []) shared ~handle ~push ~pop ~flush
     s_drain = ignore;
     s_cas_count = (fun () -> Lockfree.Treiber_stack.cas_count shared);
     s_contents = (fun () -> Lockfree.Treiber_stack.to_list shared);
-    s_dials = dials;
+    s_dials = (fun () -> []);
   }
 
-let weak_stack_with ?(exchange = false) ~elimination () =
-  let s = Weak_stack.create ~elimination ~exchange () in
+let weak_stack_with ~elimination () =
+  let s = Weak_stack.create ~elimination () in
   handle_stack (Weak_stack.shared s)
     ~handle:(fun () -> Weak_stack.handle s)
     ~push:Weak_stack.push ~pop:Weak_stack.pop ~flush:Weak_stack.flush
     ~abandon:Weak_stack.abandon
-    ~dials:(fun () ->
-      match Weak_stack.exchanger s with
-      | Some ex -> Tunable.of_exchanger ~name:"weak-stack.elim" ex
-      | None -> [])
 
 let weak_stack () = weak_stack_with ~elimination:true ()
-
-let weak_exchange_stack () = weak_stack_with ~exchange:true ~elimination:true ()
 
 let medium_stack () =
   let s = Medium_stack.create () in
@@ -169,7 +162,6 @@ let stack_impls =
     { s_name = "elim"; s_make = elim_stack };
     { s_name = "flatcomb"; s_make = fc_stack };
     { s_name = "weak"; s_make = weak_stack };
-    { s_name = "weak-x"; s_make = weak_exchange_stack };
     { s_name = "medium"; s_make = medium_stack };
     { s_name = "strong"; s_make = strong_stack };
   ]

@@ -39,11 +39,9 @@ type stack_instance = {
 type stack_impl = { s_name : string; s_make : unit -> stack_instance }
 
 val stack_impls : stack_impl list
-(** [lockfree; elim; flatcomb; weak; weak-x; medium; strong] — [elim] is
-    the elimination-backoff stack (the paper's reference [8]), [flatcomb]
-    the flat-combining baseline (its §7 comparison point), and [weak-x]
-    the weak-FL stack with cross-handle elimination through a shared
-    sharded {!Lockfree.Exchanger}. *)
+(** [lockfree; elim; flatcomb; weak; medium; strong] — [elim] is the
+    elimination-backoff stack (the paper's reference [8]) and [flatcomb]
+    the flat-combining baseline (its §7 comparison point). *)
 
 type queue_ops = {
   q_enq : int -> unit Futures.Future.t;
@@ -96,6 +94,6 @@ val find_set : string -> set_impl
 (** Ablation variants (DESIGN.md ablations A–C): the same wrappers with an
     optimization disabled, for the ablation benchmarks. *)
 
-val weak_stack_with : ?exchange:bool -> elimination:bool -> unit -> stack_instance
+val weak_stack_with : elimination:bool -> unit -> stack_instance
 val medium_set_with : resume_hint:bool -> set_instance
 val strong_set_with : sort_batch:bool -> set_instance

@@ -24,10 +24,14 @@ let eval t ~is_ready =
       if Sync.Spinlock.acquire_until t.lock is_ready then begin
         (* We hold the lock. Our operation was submitted before eval
            started, so the drain covers it — unless a previous lock holder
-           already fulfilled our future, in which case nothing is owed. *)
-        Fun.protect
-          ~finally:(fun () -> Sync.Spinlock.release t.lock)
-          (fun () -> if not (is_ready ()) then drain_locked t);
+           already fulfilled our future, in which case nothing is owed.
+           Released by [match ... with exception], so a lock hold
+           builds no closure. *)
+        (match if not (is_ready ()) then drain_locked t with
+        | () -> Sync.Spinlock.release t.lock
+        | exception e ->
+            Sync.Spinlock.release t.lock;
+            raise e);
         loop ()
       end
     (* else: is_ready became true while we waited for the lock. *)
@@ -41,8 +45,10 @@ let eval_future t f = eval t ~is_ready:(fun () -> Futures.Future.is_ready f)
 
 let drain_now t =
   Sync.Spinlock.acquire t.lock;
-  Fun.protect
-    ~finally:(fun () -> Sync.Spinlock.release t.lock)
-    (fun () -> drain_locked t)
+  match drain_locked t with
+  | () -> Sync.Spinlock.release t.lock
+  | exception e ->
+      Sync.Spinlock.release t.lock;
+      raise e
 
 let pending_cas_count t = Pending_queue.cas_count t.queue

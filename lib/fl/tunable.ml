@@ -8,15 +8,11 @@ type kind =
   | Slack_window (* Slack.set_slack: ops left pending before a drain *)
   | Fc_pass_budget (* Flat_combining.set_pass_budget *)
   | Fc_scan_limit (* Flat_combining.set_scan_limit (0 = unlimited) *)
-  | Elim_min_width (* Exchanger.set_width_bounds ~min *)
-  | Elim_max_width (* Exchanger.set_width_bounds ~max *)
 
 let kind_name = function
   | Slack_window -> "slack-window"
   | Fc_pass_budget -> "fc-pass-budget"
   | Fc_scan_limit -> "fc-scan-limit"
-  | Elim_min_width -> "elim-min-width"
-  | Elim_max_width -> "elim-max-width"
 
 type dial = {
   kind : kind;
@@ -42,27 +38,6 @@ let of_slack ?(name = "slack") s =
     get = (fun () -> Slack.slack s);
     set = (fun n -> Slack.set_slack s n);
   }
-
-let of_exchanger ?(name = "elim") ex =
-  let cap = Lockfree.Exchanger.capacity ex in
-  [
-    {
-      kind = Elim_min_width;
-      name = name ^ ".min-width";
-      lo = 1;
-      hi = cap;
-      get = (fun () -> fst (Lockfree.Exchanger.width_bounds ex));
-      set = (fun n -> Lockfree.Exchanger.set_width_bounds ~min:n ex);
-    };
-    {
-      kind = Elim_max_width;
-      name = name ^ ".max-width";
-      lo = 1;
-      hi = cap;
-      get = (fun () -> snd (Lockfree.Exchanger.width_bounds ex));
-      set = (fun n -> Lockfree.Exchanger.set_width_bounds ~max:n ex);
-    };
-  ]
 
 let of_fc ?(name = "fc") ~pass_budget ~set_pass_budget ~scan_limit
     ~set_scan_limit () =

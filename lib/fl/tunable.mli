@@ -5,16 +5,13 @@
     and get/set closures — so the Tune controller can steer any
     structure without depending on its module. The set closures are the
     concurrent-safe setters ({!Slack.set_slack},
-    {!Combining.Flat_combining.set_pass_budget} / [set_scan_limit],
-    {!Lockfree.Exchanger.set_width_bounds}), each of which clamps again
-    defensively. *)
+    {!Combining.Flat_combining.set_pass_budget} / [set_scan_limit]),
+    each of which clamps again defensively. *)
 
 type kind =
   | Slack_window
   | Fc_pass_budget
   | Fc_scan_limit
-  | Elim_min_width
-  | Elim_max_width
 
 val kind_name : kind -> string
 
@@ -28,10 +25,6 @@ type dial = {
 }
 
 val of_slack : ?name:string -> Slack.t -> dial
-
-val of_exchanger : ?name:string -> 'a Lockfree.Exchanger.t -> dial list
-(** Two dials: min and max adaptive-width bounds, both in
-    [1..capacity]. *)
 
 val of_fc :
   ?name:string ->

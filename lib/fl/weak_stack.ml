@@ -3,8 +3,6 @@ module Future = Futures.Future
 type 'a t = {
   stack : 'a Lockfree.Treiber_stack.t;
   elimination : bool;
-  exchange : 'a Lockfree.Exchanger.t option;
-      (* cross-handle elimination array, shared by all handles *)
 }
 
 type 'a handle = {
@@ -21,50 +19,16 @@ type 'a handle = {
   eval_pop : 'a option Future.t -> unit;
 }
 
-let create ?(elimination = true) ?(exchange = false) () =
-  {
-    stack = Lockfree.Treiber_stack.create ();
-    elimination;
-    exchange = (if exchange then Some (Lockfree.Exchanger.create ()) else None);
-  }
+let create ?(elimination = true) () =
+  { stack = Lockfree.Treiber_stack.create (); elimination }
 
 let shared t = t.stack
-
-let exchanged t =
-  match t.exchange with None -> 0 | Some ex -> Lockfree.Exchanger.exchanged ex
-
-let exchanger t = t.exchange
-
 let pending_count h = Window.length h.pushes + Window.length h.pops
-
-(* How long a leftover pop waits in the exchange array for a producer. *)
-let exchange_patience = 64
 
 let flush_pushes h =
   if Window.length h.pushes > 0 then begin
     let n = Window.detach h.pushes in
     let vals = Window.work_vals h.pushes and futs = Window.work h.pushes in
-    (* Cross-handle elimination: hand values to takers parked by other
-       handles' starving pops. Producers only ever [try_give] — they never
-       park — so the fast path costs one read-only scan when nobody
-       waits. Survivors are compacted in place and spliced below. *)
-    let n =
-      match h.owner.exchange with
-      | Some ex when Lockfree.Exchanger.takers_waiting ex ->
-          let kept = ref 0 in
-          for i = 0 to n - 1 do
-            let v = Opbuf.get vals i in
-            if Lockfree.Exchanger.try_give ex v then
-              Future.fulfil (Opbuf.get futs i) ()
-            else begin
-              Opbuf.set vals !kept v;
-              Opbuf.set futs !kept (Opbuf.get futs i);
-              incr kept
-            end
-          done;
-          !kept
-      | _ -> n
-    in
     (* Oldest push deepest: one CAS splices the whole window. *)
     Lockfree.Treiber_stack.push_seg h.owner.stack ~n ~get:(fun i ->
         Opbuf.get vals i);
@@ -85,16 +49,9 @@ let flush_pops h =
           Future.fulfil (Opbuf.get pops i) (Some v))
     in
     Obs.splice ~kind:Obs.Event.k_weak_stack_pop ~n:k;
-    (* Pops in excess of the stack's size try the exchange array — some
-       other handle may be flushing pushes right now — and only then
-       observe "empty". *)
+    (* Pops in excess of the stack's size observe "empty". *)
     for i = k to n - 1 do
-      let fed =
-        match h.owner.exchange with
-        | Some ex -> Lockfree.Exchanger.take ~patience:exchange_patience ex
-        | None -> None
-      in
-      Future.fulfil (Opbuf.get pops i) fed
+      Future.fulfil (Opbuf.get pops i) None
     done;
     Window.release h.pops
   end

@@ -16,18 +16,10 @@
 type 'a t
 type 'a handle
 
-val create : ?elimination:bool -> ?exchange:bool -> unit -> 'a t
+val create : ?elimination:bool -> unit -> 'a t
 (** [elimination] defaults to [true]; [false] disables invocation-time
     push/pop pairing (ablation A in DESIGN.md) so both kinds of operations
-    accumulate and are only combined, not eliminated.
-
-    [exchange] (default [false]) additionally routes flush-time leftovers
-    through a shared sharded {!Lockfree.Exchanger}: pops that found the
-    shared stack empty park a take offer there, and any handle flushing
-    pushes first feeds waiting takers before splicing the remainder. The
-    exchange point lies within both operations' windows, so weak-FL is
-    preserved; a fed pop returns [Some v] where a plain flush would have
-    returned [None]. *)
+    accumulate and are only combined, not eliminated. *)
 
 val handle : 'a t -> 'a handle
 (** A per-thread handle; create one per domain. *)
@@ -51,11 +43,3 @@ val pending_count : 'a handle -> int
 val shared : 'a t -> 'a Lockfree.Treiber_stack.t
 (** The underlying shared instance (benchmarks read its CAS counter and
     tests inspect quiescent contents). *)
-
-val exchanged : 'a t -> int
-(** Completed cross-handle exchanges; [0] unless [~exchange:true]. *)
-
-val exchanger : 'a t -> 'a Lockfree.Exchanger.t option
-(** The cross-handle exchange array, when this stack was created with
-    [~exchange:true] — exposed so the Tune controller can retune its
-    width bounds ({!Lockfree.Exchanger.set_width_bounds}). *)

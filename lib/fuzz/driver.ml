@@ -20,9 +20,9 @@ type report = {
 (* Per-iteration seeds derive from the campaign seed through dedicated
    rng streams, so iteration [i]'s program and plan are pure functions
    of [(seed, i)] — the determinism contract of `flbench fuzz --seed`.
-   A kill-plan target's kill steps also depend on a dry run of the
-   iteration's program (its kill horizon), which a multi-domain
-   schedule can vary. *)
+   A kill-plan target's steps also depend on a dry run of the
+   iteration's program (its kill and stall horizons), which a
+   multi-domain schedule can vary. *)
 let derived ~seed ~iter =
   let rng = Rng.create ~seed ~stream:iter in
   let prog_seed = Rng.next rng in

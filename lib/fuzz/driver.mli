@@ -5,7 +5,7 @@
     the whole campaign — programs, plans, and (for deterministic
     failures) verdicts — is a pure function of the campaign seed, except
     that a kill-plan target first dry-runs each program ({!Exec.reach})
-    and draws its kill steps only where that run reached. The
+    and draws its kill and stall steps only where that run reached. The
     campaign stops at the first violation: the counterexample is shrunk
     (program first, then plan) and written as
     [<out_dir>/<seed>.repro]. *)

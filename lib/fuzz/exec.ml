@@ -139,7 +139,7 @@ let targets =
       {
         name = "tuned";
         kind = P.Stack;
-        condition = Conformance.claimed_condition "weak-x";
+        condition = Conformance.claimed_condition "weak";
         kill_plan = true;
         runner = RTuned;
       };
@@ -259,20 +259,17 @@ let stack_run_inst (inst : R.stack_instance) ~name cond prog =
 let stack_run (impl : R.stack_impl) cond prog =
   stack_run_inst (impl.R.s_make ()) ~name:("stack/" ^ impl.R.s_name) cond prog
 
-(* Live-retuning target: the weak exchanger stack runs an ordinary
-   history-checked program while a [Tune.Controller] on a fast epoch
-   retunes the structure's dials (elimination width bounds, plus a slack
-   window so every policy family is exercised) from live telemetry. The
-   one history-checked target that accepts kill plans: its operations
-   never pass a kill point — the only reachable one is the controller's
-   ["tune.epoch"] — so a kill murders the tuner, never an operation, and
-   the history must stay conformant with the last-good configuration
-   frozen in place. *)
+(* Live-retuning target: the weak stack runs an ordinary history-checked
+   program while a [Tune.Controller] on a fast epoch retunes a slack
+   dial from live telemetry. The one history-checked target that accepts
+   kill plans: its operations never pass a kill point — the only
+   reachable one is the controller's ["tune.epoch"] — so a kill murders
+   the tuner, never an operation, and the history must stay conformant
+   with the last-good configuration frozen in place. *)
 let tuned_run cond prog =
-  let inst = (R.find_stack "weak-x").R.s_make () in
+  let inst = (R.find_stack "weak").R.s_make () in
   let sl = Fl.Slack.create 8 in
   let ctl = Tune.Controller.create ~epoch:0.0005 () in
-  Tune.Controller.add_dials ctl (inst.R.s_dials ());
   Tune.Controller.add_dial ctl (Fl.Tunable.of_slack ~name:"tuned.slack" sl);
   Tune.Controller.start ctl;
   Fun.protect
@@ -840,10 +837,11 @@ let run ?condition (t : target) (prog : P.t) (plan : Plan.t) =
       in
       { out with inert = List.filter inert plan })
 
-(* A dry run scripts every kill point with [Nothing] (at hit -1, which
-   never comes), so each hit is counted and none is perturbed. *)
+(* A dry run scripts every kill and stall point with [Nothing] (at hit
+   -1, which never comes), so each hit is counted and none is
+   perturbed. *)
 let reach (t : target) (prog : P.t) =
-  let pts = kill_points t in
+  let pts = List.sort_uniq compare (kill_points t @ Plan.stall_points) in
   let probe =
     List.map (fun pt -> { Faults.pt; at = -1; act = Faults.Nothing }) pts
   in

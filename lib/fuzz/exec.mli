@@ -14,8 +14,8 @@
     store refinement under kills at every protocol step). Targets with
     [kill_plan] accept kill plans; for history-checked targets that is
     normally forbidden — killed operations are ambiguous in a recorded
-    history — with one exception: [tuned], which fuzzes the weak
-    exchanger stack while a live {!Tune.Controller} retunes its dials.
+    history — with one exception: [tuned], which fuzzes the weak stack
+    while a live {!Tune.Controller} retunes a slack dial.
     Its operations never pass a kill point (the only reachable one is
     the controller's ["tune.epoch"]), so a kill can only take down the
     tuner, and the history must stay conformant with the last-good
@@ -72,10 +72,11 @@ val kill_points : target -> string list
 
 val reach : target -> Program.t -> (string * int) list
 (** A dry run: execute the program with nothing perturbed and return
-    how many times each of the target's {!kill_points} was hit. A kill
-    step at hit [k] of point [p] fires only if [k] is below [p]'s
-    count, so this sizes the target's kill horizon
-    ({!Plan.generate}'s [reach]). The dry run's verdict is discarded. *)
+    how many times each of the target's {!kill_points} and each of
+    {!Plan.stall_points} was hit. A step at hit [k] of point [p] fires
+    only if [k] is below [p]'s count, so this sizes the target's kill
+    and stall horizons ({!Plan.generate}'s [reach]). The dry run's
+    verdict is discarded. *)
 
 val record_stack :
   impl:string ->

@@ -61,43 +61,48 @@ let kill_points =
 
 let pick rng l = List.nth l (Rng.below rng (List.length l))
 
-(* With [reach] (a dry run's hit count per kill point), a kill step
-   picks only a point the dry run reached and a hit index below its
-   count, so it lands; a target that reached no kill point gets stall
-   steps only. *)
-(* Hit indices of stall steps, and of kill steps without [reach]. *)
+(* Hit indices of every step drawn without [reach]. *)
 let horizon = 160
 
+(* With [reach] (a dry run's hit count per point), a step picks only a
+   point the dry run reached and a hit index below its count, so it
+   lands; a target that reached no kill point gets no kill steps, and a
+   step with no reached stall point to draw from is dropped. Without
+   [reach] every point is drawn with [horizon], which keeps the campaigns
+   of history-checked targets as they were. *)
 let generate ?(intensity = 12) ?(kills = false) ?(kill_points = kill_points)
     ?reach ~seed () =
   let rng = Rng.create ~seed ~stream:0x504c in
-  (* Each kill point with the horizon of its hit index. *)
-  let kill_at =
+  (* Each point with the horizon of its hit index. *)
+  let sized pts =
     match reach with
-    | None -> List.map (fun pt -> (pt, horizon)) kill_points
+    | None -> List.map (fun pt -> (pt, horizon)) pts
     | Some r ->
         List.filter_map
           (fun pt ->
             match List.assoc_opt pt r with
             | Some n when n > 0 -> Some (pt, n)
             | _ -> None)
-          kill_points
+          pts
   in
-  init_list intensity (fun _ ->
-      let kill = kills && kill_at <> [] && Rng.below rng 4 = 0 in
-      let pt, h =
-        if kill then pick rng kill_at else (pick rng stall_points, horizon)
-      in
-      let at = Rng.below rng h in
-      let act =
-        if kill then Faults.Kill
-        else
-          match Rng.below rng 4 with
-          | 0 | 1 -> Faults.Delay (1 + Rng.below rng 2048)
-          | 2 -> Faults.Delay (1 + Rng.below rng 16_384)
-          | _ -> Faults.Sleep (1e-6 *. float_of_int (1 + Rng.below rng 200))
-      in
-      { Faults.pt; at; act })
+  let kill_at = sized kill_points and stall_at = sized stall_points in
+  List.filter_map Fun.id
+    (init_list intensity (fun _ ->
+         let kill = kills && kill_at <> [] && Rng.below rng 4 = 0 in
+         if (not kill) && stall_at = [] then None
+         else
+           let pt, h = pick rng (if kill then kill_at else stall_at) in
+           let at = Rng.below rng h in
+           let act =
+             if kill then Faults.Kill
+             else
+               match Rng.below rng 4 with
+               | 0 | 1 -> Faults.Delay (1 + Rng.below rng 2048)
+               | 2 -> Faults.Delay (1 + Rng.below rng 16_384)
+               | _ ->
+                   Faults.Sleep (1e-6 *. float_of_int (1 + Rng.below rng 200))
+           in
+           Some { Faults.pt; at; act }))
 
 let has_kills (p : t) = List.exists (fun s -> s.Faults.act = Faults.Kill) p
 

@@ -34,10 +34,11 @@ val generate :
   t
 (** [intensity] steps (default 12), hit indices uniform in [0, 160);
     kill steps, when [kills] is set, at one of [kill_points] (default
-    {!kill_points}). [reach], a dry run's hit count per kill point
-    ({!Exec.reach}), sizes the kill horizon: a kill step then picks
-    only a point the dry run reached, with a hit index below its count,
-    and a target that reached none gets no kill steps. Deterministic in
+    {!kill_points}). [reach], a dry run's hit count per point
+    ({!Exec.reach}), sizes every step: a kill or stall step then picks
+    only a point the dry run reached, with a hit index below its count.
+    A target that reached no kill point gets no kill steps, and one that
+    reached no stall point gets a shorter plan. Deterministic in
     [(intensity, kills, kill_points, reach, seed)]. *)
 
 val has_kills : t -> bool

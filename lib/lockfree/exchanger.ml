@@ -17,11 +17,7 @@ type 'a offer =
 
 type 'a t = {
   slots : 'a offer option Atomic.t array; (* each on its own cache line *)
-  width : int Atomic.t; (* active prefix of [slots], in bounds *)
-  (* Both width bounds packed into one atomic word, [(min lsl 32) lor
-     max], so a reader never observes a min/max pair from two different
-     [set_width_bounds] calls (which could transiently invert). *)
-  bounds : int Atomic.t;
+  width : int Atomic.t; (* active prefix of [slots], in [1..capacity] *)
   exchanged : int Atomic.t;
   cancels : int Atomic.t; (* offers withdrawn by their owner *)
   reclaimed : int Atomic.t; (* cancelled offers removed from slots *)
@@ -29,15 +25,12 @@ type 'a t = {
 }
 
 let seed_stripes = 16
-let pack ~lo ~hi = (lo lsl 32) lor hi
-let unpack b = (b lsr 32, b land 0xFFFFFFFF)
 
 let create ?(capacity = 8) () =
   if capacity <= 0 then invalid_arg "Exchanger.create: capacity <= 0";
   {
     slots = Sync.Padded.atomic_array capacity None;
     width = Sync.Padded.atomic (min 2 capacity);
-    bounds = Sync.Padded.atomic (pack ~lo:1 ~hi:capacity);
     exchanged = Sync.Padded.atomic 0;
     cancels = Sync.Padded.atomic 0;
     reclaimed = Sync.Padded.atomic 0;
@@ -49,44 +42,6 @@ let width t = Atomic.get t.width
 let exchanged t = Atomic.get t.exchanged
 let cancelled t = Atomic.get t.cancels
 let reclaimed t = Atomic.get t.reclaimed
-let width_bounds t = unpack (Atomic.get t.bounds)
-
-(* Controller entry point: clamp the adaptive-width range. Each given
-   side is clamped to [1..capacity] and drags the other side along when
-   they would cross; giving both with [min > max] is the caller's error.
-   After publishing new bounds, the current width is pulled into range
-   (CAS loop — a concurrent widen/narrow just re-clamps on its own next
-   step, see below). *)
-let set_width_bounds ?min:lo ?max:hi t =
-  let cap = Array.length t.slots in
-  let clamp v = if v < 1 then 1 else if v > cap then cap else v in
-  (match (lo, hi) with
-  | Some l, Some h when l > h ->
-      invalid_arg "Exchanger.set_width_bounds: min > max"
-  | _ -> ());
-  let rec publish () =
-    let b = Atomic.get t.bounds in
-    let cur_lo, cur_hi = unpack b in
-    let new_lo = match lo with Some l -> clamp l | None -> cur_lo in
-    let new_hi = match hi with Some h -> clamp h | None -> cur_hi in
-    (* Drag the unspecified (or stale) side so the pair stays ordered. *)
-    let new_lo, new_hi =
-      match (lo, hi) with
-      | Some _, None when new_lo > new_hi -> (new_lo, new_lo)
-      | None, Some _ when new_lo > new_hi -> (new_hi, new_hi)
-      | _ -> (new_lo, new_hi)
-    in
-    if not (Atomic.compare_and_set t.bounds b (pack ~lo:new_lo ~hi:new_hi))
-    then publish ()
-  in
-  publish ();
-  let rec reclamp () =
-    let lo, hi = unpack (Atomic.get t.bounds) in
-    let w = Atomic.get t.width in
-    let w' = if w < lo then lo else if w > hi then hi else w in
-    if w' <> w && not (Atomic.compare_and_set t.width w w') then reclamp ()
-  in
-  reclamp ()
 
 (* Cheap per-domain randomness: a striped splitmix-style counter, one
    padded cell per domain stripe so slot choice never bounces a line
@@ -106,18 +61,13 @@ let random_index t =
    find each other — step it back down. Plain CAS, losers just retry on
    their next probe. *)
 let widen t =
-  let _, hi = unpack (Atomic.get t.bounds) in
+  let cap = Array.length t.slots in
   let w = Atomic.get t.width in
-  if w < hi then ignore (Atomic.compare_and_set t.width w (min hi (2 * w)))
-  else if w > hi then
-    (* Bounds were tightened under us: fall back into range. *)
-    ignore (Atomic.compare_and_set t.width w hi)
+  if w < cap then ignore (Atomic.compare_and_set t.width w (min cap (2 * w)))
 
 let narrow t =
-  let lo, _ = unpack (Atomic.get t.bounds) in
   let w = Atomic.get t.width in
-  if w > lo then ignore (Atomic.compare_and_set t.width w (max lo (w - 1)))
-  else if w < lo then ignore (Atomic.compare_and_set t.width w lo)
+  if w > 1 then ignore (Atomic.compare_and_set t.width w (w - 1))
 
 let default_patience = 64
 
@@ -182,32 +132,6 @@ let claim_give t ~shard slot stored (value : 'a) state =
         Obs.elim_miss ~shard;
         None
       end
-
-let try_give t v =
-  let shard = random_index t in
-  let slot = t.slots.(shard) in
-  match Atomic.get slot with
-  | Some (Take p) as stored -> claim_take t ~shard slot stored p.state v
-  | Some (Give _) ->
-      widen t;
-      Obs.elim_miss ~shard;
-      false
-  | None ->
-      Obs.elim_miss ~shard;
-      false
-
-let try_take t =
-  let shard = random_index t in
-  let slot = t.slots.(shard) in
-  match Atomic.get slot with
-  | Some (Give p) as stored -> claim_give t ~shard slot stored p.value p.state
-  | Some (Take _) ->
-      widen t;
-      Obs.elim_miss ~shard;
-      None
-  | None ->
-      Obs.elim_miss ~shard;
-      None
 
 let give ?(patience = default_patience) t v =
   let shard = random_index t in
@@ -324,17 +248,3 @@ let take ?(patience = default_patience) t =
         Obs.elim_miss ~shard;
         None
       end
-
-let takers_waiting t =
-  let w = Atomic.get t.width in
-  let rec scan i =
-    i < w
-    &&
-    match Atomic.get t.slots.(i) with
-    | Some (Take p) -> (
-        match Atomic.get p.state with
-        | Tempty -> true
-        | Tfed _ | Tcancelled -> scan (i + 1))
-    | Some (Give _) | None -> scan (i + 1)
-  in
-  scan 0

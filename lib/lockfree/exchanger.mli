@@ -2,15 +2,13 @@
     through which a value producer ("give") and a value consumer
     ("take") pair off without touching any shared structure.
 
-    This factors the exchange machinery of the elimination-backoff stack
-    (Hendler, Shavit & Yerushalmi) out of {!Elimination_stack} so the
-    futures-based weak stack can eliminate {e across handles} through
-    the same array, following the sharded-elimination direction of
-    Singh, Metaxakis & Fatourou (see PAPERS.md): one slot saturates
-    quickly, so the array is sharded and its {e active width} adapts to
-    the collision rate — widening when offers collide in a slot,
-    narrowing when parked offers time out unmatched, so lone threads pay
-    a single-slot probe while storms spread across the whole array.
+    This is the exchange machinery of the elimination-backoff stack
+    (Hendler, Shavit & Yerushalmi) behind {!Elimination_stack}. One slot
+    saturates quickly, so the array is sharded and its {e active width}
+    adapts to the collision rate — widening when offers collide in a
+    slot, narrowing when parked offers time out unmatched, so lone
+    threads pay a single-slot probe while storms spread across the whole
+    array.
 
     Offers are fresh heap values, never reused, so physical-equality CAS
     on slots is ABA-free. An exchange delivers the given value to
@@ -38,19 +36,6 @@ val capacity : 'a t -> int
 val width : 'a t -> int
 (** Current adaptive width (slots actually probed). *)
 
-val width_bounds : 'a t -> int * int
-(** [(min, max)] range the adaptive width is confined to; initially
-    [(1, capacity)]. *)
-
-val set_width_bounds : ?min:int -> ?max:int -> 'a t -> unit
-(** Retune the adaptive-width range (the Tune controller's knob). Each
-    given side is clamped to [1..capacity]; when the pair would invert,
-    the side being set drags the other along. The current width is
-    pulled into the new range. Concurrent-safe: the pair lives in one
-    atomic word, so probers never observe a torn min/max. Raises
-    [Invalid_argument] only when both sides are given with
-    [min > max]. *)
-
 val exchanged : 'a t -> int
 (** Number of completed give/take pairs. *)
 
@@ -64,14 +49,6 @@ val reclaimed : 'a t -> int
     by a claimant that lost the state race) — dead partners cleaned out
     of the array. *)
 
-val try_give : 'a t -> 'a -> bool
-(** One probe: if the chosen slot holds a waiting taker, hand it the
-    value and return [true]; never parks, never waits. *)
-
-val try_take : 'a t -> 'a option
-(** One probe: claim a waiting give offer if the chosen slot holds one;
-    never parks. *)
-
 val give : ?patience:int -> 'a t -> 'a -> bool
 (** [give t v] probes once and otherwise parks a give offer, waiting up
     to [patience] (default 64) spin rounds for a taker before
@@ -80,8 +57,3 @@ val give : ?patience:int -> 'a t -> 'a -> bool
 val take : ?patience:int -> 'a t -> 'a option
 (** Symmetric to {!give}: claims a parked give immediately, or parks a
     take offer and waits up to [patience] rounds to be fed. *)
-
-val takers_waiting : 'a t -> bool
-(** Whether some slot currently holds a parked take offer — a cheap
-    read-only scan letting producers skip the exchange path entirely
-    when nobody is waiting. *)

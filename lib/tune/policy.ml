@@ -19,9 +19,6 @@ type observation = {
                            the median by the window size. *)
   fc_batch : float; (* mean requests answered per combining pass *)
   fc_passes : int;
-  elim_attempts : int;
-  elim_hit_rate : float;
-  elim_wait_p99_ns : int;
 }
 
 (* Build an observation from a Metrics diff. The slack signal reads the
@@ -41,9 +38,6 @@ let observe (d : Obs.Metrics.snapshot) =
     pending_p50_ns = Obs.Metrics.pendingness_p50 d;
     fc_batch = Obs.Metrics.kind_mean_batch d E.k_fc_pass;
     fc_passes = d.splice_kind_splices.(E.k_fc_pass);
-    elim_attempts = d.elim_hits + d.elim_misses;
-    elim_hit_rate = Obs.Metrics.elim_hit_rate d;
-    elim_wait_p99_ns = Obs.Metrics.elim_wait_p99 d;
   }
 
 type config = {
@@ -55,9 +49,6 @@ type config = {
   fill_lo : float; (* windows under this fraction shrink slack *)
   fc_batch_up : float; (* passes answering >= this raise the budget *)
   fc_batch_down : float; (* passes answering <= this lower it *)
-  elim_hit_up : float; (* hit rate >= this widens the elimination array *)
-  elim_hit_down : float; (* hit rate <= this narrows it *)
-  elim_wait_budget_ns : int; (* widening stops once parked waits hit this *)
 }
 
 let default =
@@ -73,9 +64,6 @@ let default =
        unless passes are genuinely fat. *)
     fc_batch_up = 3.0;
     fc_batch_down = 1.75;
-    elim_hit_up = 0.4;
-    elim_hit_down = 0.05;
-    elim_wait_budget_ns = 200_000;
   }
 
 type direction = Up | Down | Hold
@@ -124,22 +112,6 @@ let lean cfg (kind : Fl.Tunable.kind) ~cur ~hi (o : observation) =
         else if 2 * desired <= cur then Down
         else Hold
       end
-  | Fl.Tunable.Elim_max_width ->
-      if o.elim_attempts < cfg.min_ops then Hold
-      else if
-        o.elim_hit_rate >= cfg.elim_hit_up
-        && o.elim_wait_p99_ns <= cfg.elim_wait_budget_ns
-      then Up
-      else if o.elim_hit_rate <= cfg.elim_hit_down then Down
-      else Hold
-  | Fl.Tunable.Elim_min_width ->
-      (* The floor follows the same signal as the ceiling but without
-         the wait guard: a high hit rate keeps the array from collapsing
-         to width 1 between bursts. *)
-      if o.elim_attempts < cfg.min_ops then Hold
-      else if o.elim_hit_rate >= cfg.elim_hit_up then Up
-      else if o.elim_hit_rate <= cfg.elim_hit_down then Down
-      else Hold
 
 (* Hysteresis vote state, one per controlled dial. *)
 type votes = { mutable up : int; mutable down : int }

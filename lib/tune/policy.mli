@@ -19,9 +19,6 @@ type observation = {
           as window pressure) *)
   fc_batch : float;  (** mean requests answered per combining pass *)
   fc_passes : int;
-  elim_attempts : int;
-  elim_hit_rate : float;
-  elim_wait_p99_ns : int;
 }
 
 val observe : Obs.Metrics.snapshot -> observation
@@ -36,9 +33,6 @@ type config = {
   fill_lo : float;
   fc_batch_up : float;
   fc_batch_down : float;
-  elim_hit_up : float;
-  elim_hit_down : float;
-  elim_wait_budget_ns : int;
 }
 
 val default : config

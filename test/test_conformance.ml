@@ -24,6 +24,25 @@ let test_claimed_conditions () =
     (Invalid_argument "Conformance: unknown implementation nonesuch")
     (fun () -> ignore (Conformance.claimed_condition "nonesuch"))
 
+(* The registry and the condition table cannot drift apart: every
+   registered implementation claims a condition, and a name the registry
+   dropped is unknown to the table too. *)
+let test_registry_names_claimed () =
+  let names =
+    List.map (fun i -> i.R.s_name) R.stack_impls
+    @ List.map (fun i -> i.R.q_name) R.queue_impls
+    @ List.map (fun i -> i.R.l_name) R.set_impls
+  in
+  List.iter
+    (fun name ->
+      match Conformance.claimed_condition name with
+      | (_ : Lin.Order.condition) -> ()
+      | exception Invalid_argument _ -> Alcotest.failf "%s claims nothing" name)
+    names;
+  Alcotest.check_raises "weak-x is gone"
+    (Invalid_argument "Conformance: unknown implementation weak-x") (fun () ->
+      ignore (Conformance.claimed_condition "weak-x"))
+
 (* A deliberately broken stack: pop returns values FIFO (it is a queue in
    disguise). Even the weak condition must catch this within a few
    rounds. *)
@@ -129,7 +148,11 @@ let () =
   Alcotest.run "conformance"
     [
       ( "conditions",
-        [ Alcotest.test_case "claimed map" `Quick test_claimed_conditions ] );
+        [
+          Alcotest.test_case "claimed map" `Quick test_claimed_conditions;
+          Alcotest.test_case "registry names claimed" `Quick
+            test_registry_names_claimed;
+        ] );
       ( "detection",
         [
           Alcotest.test_case "catches FIFO-as-stack" `Slow

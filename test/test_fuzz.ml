@@ -103,6 +103,26 @@ let test_plan_kill_horizon_sized () =
       (Pl.has_kills (Pl.generate ~kills:true ~reach:[] ~seed ()))
   done
 
+(* Stall steps are sized the same way: only at reached stall points,
+   below their counts; with no reached stall point a stall plan is
+   empty. *)
+let test_plan_stall_horizon_sized () =
+  let reach = [ ("fuzz.step", 5); ("future.force", 0); ("fc.pass", 3) ] in
+  for seed = 1 to 40 do
+    List.iter
+      (fun (s : Faults.plan_step) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "stall at a reached hit (%s %d)" s.Faults.pt
+             s.Faults.at)
+          true
+          (match List.assoc_opt s.Faults.pt reach with
+          | Some n -> s.Faults.at < n
+          | None -> false))
+      (Pl.generate ~reach ~seed ());
+    Alcotest.(check int) "nothing reached, nothing drawn" 0
+      (List.length (Pl.generate ~reach:[] ~seed ()))
+  done
+
 (* The [slack] target hits [slack.force] once per noted thunk, whatever
    the schedule, so every kill step sized from its dry run fires. *)
 let test_slack_kill_steps_land () =
@@ -486,7 +506,7 @@ let test_mega_target_syntax () =
   Alcotest.(check string)
     "round-trips" "mega/queue/strong@0x2a" (M.target_to_string t);
   Alcotest.(check bool) "corrupt seed parsed" true (t.M.corrupt = Some 0x2a);
-  let honest = M.target_of_string "mega/stack/weak-x" in
+  let honest = M.target_of_string "mega/stack/weak" in
   Alcotest.(check bool) "no corruption" true (honest.M.corrupt = None);
   Alcotest.(check bool) "prefix predicate" true (M.is_mega_name "mega/x");
   Alcotest.(check bool) "prefix predicate" false (M.is_mega_name "stack/weak");
@@ -607,6 +627,8 @@ let () =
             test_plan_kills_confined;
           Alcotest.test_case "kill horizon sized by reach" `Quick
             test_plan_kill_horizon_sized;
+          Alcotest.test_case "stall horizon sized by reach" `Quick
+            test_plan_stall_horizon_sized;
           Alcotest.test_case "sized slack kills land" `Quick
             test_slack_kill_steps_land;
         ] );

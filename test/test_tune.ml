@@ -21,19 +21,8 @@ let dir =
 (* A synthetic observation: busy by default (past the idle gate),
    neutral on every signal unless overridden. *)
 let obs ?(ops = 1_000) ?(slack_batch = 0.0) ?(force_p99_ns = 0)
-    ?(pending_p50_ns = 0) ?(fc_batch = 0.0) ?(fc_passes = 0)
-    ?(elim_attempts = 0) ?(elim_hit_rate = 0.0) ?(elim_wait_p99_ns = 0) () =
-  {
-    P.ops;
-    slack_batch;
-    force_p99_ns;
-    pending_p50_ns;
-    fc_batch;
-    fc_passes;
-    elim_attempts;
-    elim_hit_rate;
-    elim_wait_p99_ns;
-  }
+    ?(pending_p50_ns = 0) ?(fc_batch = 0.0) ?(fc_passes = 0) () =
+  { P.ops; slack_batch; force_p99_ns; pending_p50_ns; fc_batch; fc_passes }
 
 (* A dial over a plain ref cell, so tests watch exactly what the vote
    machine sets. *)
@@ -81,23 +70,6 @@ let test_lean_fc () =
     (lean_scan ~cur:16 (obs ~fc_passes:10 ~fc_batch:4.0 ()));
   Alcotest.check dir "light combining climbs back toward unbounded" P.Up
     (lean_scan ~cur:16 (obs ~fc_passes:10 ~fc_batch:1.0 ()))
-
-let test_lean_elim () =
-  let lean_max o = P.lean cfg T.Elim_max_width ~cur:4 ~hi:16 o in
-  Alcotest.check dir "few attempts hold" P.Hold
-    (lean_max (obs ~elim_attempts:10 ~elim_hit_rate:0.9 ()));
-  Alcotest.check dir "hot hit rate widens" P.Up
-    (lean_max (obs ~elim_attempts:500 ~elim_hit_rate:0.5 ()));
-  Alcotest.check dir "long parked waits veto widening" P.Hold
-    (lean_max
-       (obs ~elim_attempts:500 ~elim_hit_rate:0.5
-          ~elim_wait_p99_ns:1_000_000 ()));
-  Alcotest.check dir "cold hit rate narrows" P.Down
-    (lean_max (obs ~elim_attempts:500 ~elim_hit_rate:0.01 ()));
-  Alcotest.check dir "floor ignores the wait guard" P.Up
-    (P.lean cfg T.Elim_min_width ~cur:2 ~hi:16
-       (obs ~elim_attempts:500 ~elim_hit_rate:0.5 ~elim_wait_p99_ns:1_000_000
-          ()))
 
 (* --------------------------- vote machine ---------------------------- *)
 
@@ -308,7 +280,6 @@ let () =
         [
           Alcotest.test_case "slack lean" `Quick test_lean_slack;
           Alcotest.test_case "combining lean" `Quick test_lean_fc;
-          Alcotest.test_case "elimination lean" `Quick test_lean_elim;
           Alcotest.test_case "step up" `Quick test_decide_step_up;
           Alcotest.test_case "step down" `Quick test_decide_step_down;
           Alcotest.test_case "hysteresis no-flap" `Quick test_decide_no_flap;

@@ -34,20 +34,6 @@ bench-json:
 	dune exec bin/validate_bench.exe -- results/BENCH_fig5.json --bench fig5
 	dune exec bin/validate_bench.exe -- results/BENCH_fig6.json --bench fig6
 
-# Machine-readable self-tuning run: the controller against hand-tuned
-# statics over (threads x steady/bursty) contention regimes. The
-# --assert-tolerance gate makes the run's exit status the claim itself:
-# adaptive within 5% of the best static on every regime, and strictly
-# beating the default pass budget on queue-flatcomb totals. The records
-# are then schema-checked (which re-verifies both gates offline).
-bench-adapt-json:
-	mkdir -p results
-	dune exec bench/main.exe -- adapt --ops 100000 --repeats 5 \
-		--threads 1,2 --json results/BENCH_adapt.json \
-		--assert-tolerance 5 --assert-beats
-	dune exec bin/validate_bench.exe -- results/BENCH_adapt.json \
-		--bench adapt --min-records 20 --max-rel 1.05 --require-beats
-
 # Flight-recorder capture: run the trace probe with the recorder on and
 # export a Chrome trace_event file (load in ui.perfetto.dev), then
 # schema-check it.
@@ -162,8 +148,6 @@ fuzz-smoke:
 	mkdir -p results/fuzz
 	dune exec bin/flbench.exe -- fuzz --seed $(FUZZ_SEED) --iters 5 \
 		--out results/fuzz
-	dune exec bin/flbench.exe -- fuzz --target tuned \
-		--seed $(FUZZ_SEED) --iters 5 --out results/fuzz
 	! dune exec bin/flbench.exe -- fuzz --target stack/weak \
 		--condition medium --seed $(FUZZ_SEED) --iters 20 \
 		--out results/fuzz
@@ -185,4 +169,4 @@ doc:
 clean:
 	dune clean
 
-.PHONY: all test test-force bench-quick bench-full bench-json bench-adapt-json bench-trace chaos bench-chaos-json bench-shard-json bench-service-json conformance-smoke smoke-sharded fuzz-mega fuzz-smoke fuzz-soak doc clean
+.PHONY: all test test-force bench-quick bench-full bench-json bench-trace chaos bench-chaos-json bench-shard-json bench-service-json conformance-smoke smoke-sharded fuzz-mega fuzz-smoke fuzz-soak doc clean

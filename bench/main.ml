@@ -1015,299 +1015,6 @@ let shard_bench cfg =
     cfg.threads;
   print_table kill_table
 
-(* ------------------------------ adapt ------------------------------- *)
-
-(* Self-tuning controller vs hand-tuned static configurations, swept
-   across contention regimes (thread counts x steady/bursty arrivals).
-   Two panels:
-
-   - queue-flatcomb: static combining pass budgets (1 = the default, 4,
-     16) against the controller retuning the budget and scan limit live;
-   - stack-weak-slack: static slack windows (1, 10, 100) against the
-     controller retuning each worker's window from a deliberately-wrong
-     start of 8.
-
-   Every column, static included, runs with the recorder on: the
-   comparison isolates the knob policy from the (sampled, cheap)
-   telemetry tax the controller needs anyway. [--assert-tolerance pct]
-   turns the match/beat criteria into an exit code for CI. *)
-
-module Tn = Fl.Tunable
-module Ctl = Tune.Controller
-
-let assert_tol : float option ref = ref None
-let assert_beats = ref false
-let adapt_failures = ref 0
-
-(* Epoch choice balances two costs on an oversubscribed host: shorter
-   epochs converge faster (hysteresis 2 needs ~2 epochs per doubling),
-   but every controller wake preempts a worker — at 0.5 ms epochs that
-   tax alone is measurable against a single pinned worker. 2 ms keeps
-   convergence inside the warm-up run while the steady-state wake tax
-   stays in the noise. *)
-let adapt_epoch = 0.002
-
-let set_dial dials kind v =
-  List.iter (fun (d : Tn.dial) -> if d.Tn.kind = kind then d.Tn.set v) dials
-
-let ns_per_op (m : Workload.Runner.measurement) =
-  1e9 /. m.Workload.Runner.throughput
-
-type adapt_col = {
-  ac_name : string;
-  ac_static : bool;
-  ac_measure :
-    threads:int -> arrival:Workload.Arrival.t -> Workload.Runner.measurement;
-  ac_stop : unit -> unit;
-      (* Adaptive columns keep ONE controller alive across every cell and
-         repeat of the panel: each repeat's fresh structure re-registers
-         its dials and warm-starts from the remembered configuration, so
-         the search ramp is paid once, not once per measurement. The
-         panel calls [ac_stop] when its table is done. *)
-}
-
-let static_col ac_name ac_measure =
-  { ac_name; ac_static = true; ac_measure; ac_stop = ignore }
-
-(* The controller starts with the column and stops with its panel. *)
-let adaptive_col ac_name measure =
-  let c = Ctl.create ~epoch:adapt_epoch () in
-  Ctl.start c;
-  {
-    ac_name;
-    ac_static = false;
-    ac_measure = measure c;
-    ac_stop = (fun () -> Ctl.stop c);
-  }
-
-(* The flatcomb panel's cells, all through one slack-1 queue loop; [tune]
-   sets or registers each fresh instance's dials before the run. *)
-let flatcomb_cols cfg =
-  let w = SL.queue (R.find_queue "flatcomb") in
-  let measure ~tune ~threads ~arrival =
-    SL.measure ~arrival ~seed:0xADA7 ~slack:1 ~threads ~repeats:1 ~ops:cfg.ops
-      {
-        w with
-        make =
-          (fun () ->
-            let inst = w.SL.make () in
-            tune (inst.R.q_dials ());
-            inst);
-      }
-  in
-  let static budget =
-    static_col
-      (if budget = 1 then "budget=1 (default)"
-       else Printf.sprintf "budget=%d" budget)
-      (measure ~tune:(fun dials -> set_dial dials Tn.Fc_pass_budget budget))
-  in
-  let adaptive =
-    adaptive_col "adaptive" (fun c -> measure ~tune:(Ctl.add_dials c))
-  in
-  List.map static [ 1; 4; 16 ] @ [ adaptive ]
-
-let slack_cols cfg =
-  let w = SL.stack (R.find_stack "weak") in
-  (* Adaptive column: each worker hands its own window to the live
-     controller (registration is concurrent-safe). *)
-  let measure ~slack ~ctl ~threads ~arrival =
-    SL.measure ~arrival
-      ?on_window:
-        (Option.map
-           (fun c sl -> Ctl.add_dial c (Tn.of_slack ~name:"bench.slack" sl))
-           ctl)
-      ~seed:0xADA8 ~slack ~threads ~repeats:1 ~ops:cfg.ops w
-  in
-  List.map
-    (fun slack ->
-      static_col (Printf.sprintf "slack=%d" slack) (measure ~slack ~ctl:None))
-    [ 1; 10; 100 ]
-  @ [
-      (* Deliberately-wrong starting window: the controller has to find
-         its way from 8 to wherever the statics' best sits (and, once
-         found, warm-starts every later worker's fresh window there). *)
-      adaptive_col "adaptive (from 8)" (fun c ->
-          measure ~slack:8 ~ctl:(Some c));
-    ]
-
-let adapt_arrivals =
-  [ Workload.Arrival.Steady;
-    Workload.Arrival.Bursty { burst = 64; pause_ns = 50_000 } ]
-
-(* Run one panel over every (threads, arrival) regime. Each cell is the
-   median of [cfg.repeats] independent single-repeat runs — every repeat
-   builds a fresh structure, while the adaptive column's one long-lived
-   controller warm-starts each fresh structure's dials from the
-   configuration it has already learned (a regime change re-adapts from
-   there, exactly as a deployed controller would). Median is the robust
-   statistic on an oversubscribed host: a min would crown whichever
-   column drew the luckiest scheduler slice, a mean would charge one
-   preempted repeat to the whole column. Returns the (default-column,
-   adaptive-column) completion-time totals over all regimes, for the
-   strict-beat gate. *)
-let run_adapt_panel cfg ~panel cols =
-  Fun.protect ~finally:(fun () -> List.iter (fun c -> c.ac_stop ()) cols)
-  @@ fun () ->
-  let table =
-    Workload.Report.create
-      ~title:
-        (Printf.sprintf
-           "%s (ns/op, median of %d repeats; x = adaptive vs best static)" panel
-           cfg.repeats)
-      ~columns:(List.map (fun c -> c.ac_name) cols)
-  in
-  let median ms =
-    let sorted =
-      List.sort
-        (fun a b ->
-          compare a.Workload.Runner.seconds b.Workload.Runner.seconds)
-        ms
-    in
-    List.nth sorted (List.length sorted / 2)
-  in
-  (* Repeats are interleaved round-robin across columns — repeat r of
-     every column runs before repeat r+1 of any — so slow drift in host
-     load lands on all columns alike instead of on whichever column runs
-     last. Each measurement starts from a settled heap: without the
-     major slice, GC debt left by the previous column leaks into this
-     one's timing. *)
-  let measure_all cols ~threads ~arrival =
-    let acc = List.map (fun c -> (c, ref [])) cols in
-    for _ = 1 to cfg.repeats do
-      List.iter
-        (fun (c, ms) ->
-          Gc.major ();
-          ms := c.ac_measure ~threads ~arrival :: !ms)
-        acc
-    done;
-    List.map (fun (_, ms) -> median !ms) acc
-  in
-  (* One unmeasured warm-up run per adaptive column. The claim under
-     test is that the controller finds what hand-tuning found — and a
-     static column IS its converged configuration from its very first
-     op, paid for by offline tuning the table never shows. The adaptive
-     column gets the offline phase the statics got: one run to learn,
-     after which every measured cell starts from the remembered
-     configuration (regime changes still re-adapt live). *)
-  List.iter
-    (fun c ->
-      if not c.ac_static then
-        ignore (c.ac_measure ~threads:1 ~arrival:Workload.Arrival.Steady))
-    cols;
-  let default_total = ref 0.0 and adaptive_total = ref 0.0 in
-  List.iter
-    (fun arrival ->
-      List.iter
-        (fun threads ->
-          let ms = measure_all cols ~threads ~arrival in
-          let bursty =
-            match arrival with Workload.Arrival.Steady -> 0.0 | _ -> 1.0
-          in
-          List.iter2
-            (fun c m ->
-              record ~bench:"adapt"
-                ~impl:(panel ^ "/" ^ c.ac_name)
-                ~slack:0 ~domains:threads
-                [
-                  ("ns_per_op", ns_per_op m);
-                  ("ops_per_s", m.Workload.Runner.throughput);
-                  ("bursty", bursty);
-                ])
-            cols ms;
-          let static_ns =
-            List.filter_map
-              (fun (c, m) -> if c.ac_static then Some (ns_per_op m) else None)
-              (List.combine cols ms)
-          in
-          let best_static = List.fold_left min infinity static_ns in
-          let adaptive_ns =
-            match
-              List.find_opt
-                (fun (c, _) -> not c.ac_static)
-                (List.combine cols ms)
-            with
-            | Some (_, m) -> ns_per_op m
-            | None -> nan
-          in
-          let rel = adaptive_ns /. best_static in
-          record ~bench:"adapt" ~impl:(panel ^ "/summary") ~slack:0
-            ~domains:threads
-            [
-              ("best_static_ns", best_static);
-              ("adaptive_ns", adaptive_ns);
-              ("rel_vs_best", rel);
-              ("bursty", bursty);
-            ];
-          (match !assert_tol with
-          | Some tol when adaptive_ns > best_static *. (1.0 +. (tol /. 100.))
-            ->
-              incr adapt_failures;
-              Printf.eprintf
-                "ADAPT FAIL: %s @ %d threads %s: adaptive %.1f ns/op vs best \
-                 static %.1f (rel %.3f > 1 + %g%%)\n%!"
-                panel threads
-                (Workload.Arrival.to_string arrival)
-                adaptive_ns best_static rel tol
-          | _ -> ());
-          (match (ms, List.rev ms) with
-          | first :: _, last :: _ ->
-              default_total := !default_total +. first.Workload.Runner.seconds;
-              adaptive_total := !adaptive_total +. last.Workload.Runner.seconds
-          | _ -> ());
-          Workload.Report.add_row table
-            ~label:
-              (Printf.sprintf "%d %s" threads
-                 (Workload.Arrival.to_string arrival))
-            ~cells:
-              (List.map2
-                 (fun c m ->
-                   if c.ac_static then Printf.sprintf "%.0f" (ns_per_op m)
-                   else Printf.sprintf "%.0f (x%.2f)" (ns_per_op m) rel)
-                 cols ms))
-        cfg.threads)
-    adapt_arrivals;
-  print_table table;
-  (!default_total, !adaptive_total)
-
-let adapt cfg =
-  Format.printf
-    "== Adapt: self-tuning controller vs hand-tuned statics — %d ops/thread, \
-     %d repeat(s) ==@.@."
-    cfg.ops cfg.repeats;
-  let was = Obs.enabled () in
-  Obs.set_enabled true;
-  Fun.protect
-    ~finally:(fun () -> Obs.set_enabled was)
-    (fun () ->
-      let d_fc, a_fc =
-        run_adapt_panel cfg ~panel:"queue-flatcomb" (flatcomb_cols cfg)
-      in
-      let (_ : float * float) =
-        run_adapt_panel cfg ~panel:"stack-weak-slack" (slack_cols cfg)
-      in
-      (* The strict-beat gate: summed over every regime, the controller
-         must do strictly better than the out-of-the-box pass budget. *)
-      let beats = a_fc < d_fc in
-      record ~bench:"adapt" ~impl:"queue-flatcomb/beats-default" ~slack:0
-        ~domains:0
-        [
-          ("default_total_s", d_fc);
-          ("adaptive_total_s", a_fc);
-          ("beats", if beats then 1.0 else 0.0);
-        ];
-      Printf.printf
-        "  queue-flatcomb totals over all regimes: default %.4fs, adaptive \
-         %.4fs — adaptive %s the default\n\n\
-         %!"
-        d_fc a_fc
-        (if beats then "beats" else "does NOT beat");
-      if (not beats) && !assert_beats then begin
-        incr adapt_failures;
-        Printf.eprintf
-          "ADAPT FAIL: adaptive totals %.4fs do not beat the default %.4fs\n%!"
-          a_fc d_fc
-      end)
-
 (* ----------------------------- service ------------------------------ *)
 
 (* Open-loop service saturation sweep (ROADMAP item 3). Per-worker
@@ -1628,11 +1335,10 @@ let parse_int_list s = List.map int_of_string (String.split_on_char ',' s)
 let usage () =
   prerr_endline
     "usage: main.exe \
-     [fig4|fig5|fig6|ablation|micro|cas|extra|shard|chaos|trace|adapt|service|conformance|all]... \
+     [fig4|fig5|fig6|ablation|micro|cas|extra|shard|chaos|trace|service|conformance|all]... \
      [--quick|--full] [--ops N] [--repeats N] [--threads a,b,c] [--slacks \
      a,b,c] [--seed N] [--json PATH] [--obs] [--trace PATH] \
-     [--conformance-stride N] [--assert-tolerance PCT] [--assert-beats] \
-     [--assert-service]";
+     [--conformance-stride N] [--assert-service]";
   exit 2
 
 let () =
@@ -1657,12 +1363,6 @@ let () =
     | "--obs" :: rest ->
         Obs.set_enabled true;
         parse cfg cmds rest
-    | "--assert-tolerance" :: p :: rest ->
-        assert_tol := Some (float_of_string p);
-        parse cfg cmds rest
-    | "--assert-beats" :: rest ->
-        assert_beats := true;
-        parse cfg cmds rest
     | "--assert-service" :: rest ->
         assert_service := true;
         parse cfg cmds rest
@@ -1683,8 +1383,7 @@ let () =
     | cmd :: rest
       when List.mem cmd
              [ "fig4"; "fig5"; "fig6"; "ablation"; "micro"; "cas"; "extra";
-               "shard"; "chaos"; "trace"; "adapt"; "service";
-               "conformance"; "all" ]
+               "shard"; "chaos"; "trace"; "service"; "conformance"; "all" ]
       ->
         parse cfg (cmd :: cmds) rest
     | _ -> usage ()
@@ -1711,7 +1410,6 @@ let () =
     | "shard" -> shard_bench cfg
     | "chaos" -> chaos_bench cfg
     | "trace" -> trace_probe ()
-    | "adapt" -> adapt cfg
     | "service" -> service_bench cfg
     | "conformance" -> conformance_bench cfg
     | "all" ->
@@ -1729,10 +1427,6 @@ let () =
   List.iter run cmds;
   write_json ();
   write_trace ();
-  if !adapt_failures > 0 then begin
-    Printf.eprintf "adapt: %d regime(s) outside tolerance\n%!" !adapt_failures;
-    exit 1
-  end;
   if !service_failures > 0 then begin
     Printf.eprintf "service: %d gate(s) failed\n%!" !service_failures;
     exit 1

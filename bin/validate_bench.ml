@@ -13,13 +13,7 @@
        the bench, not the validator);
      - [--bench NAME] (repeatable): at least one record of that bench
        kind appears;
-     - adapt records get their semantic checks: every [*/summary]
-       record carries positive best_static_ns and adaptive_ns whose
-       ratio reproduces rel_vs_best, [--max-rel X] bounds rel_vs_best
-       over every summary (the tolerance gate, re-checked offline), and
-       a [--require-beats] run must contain a [*/beats-default] record
-       with beats = 1;
-     - service records get theirs: books must balance (completed +
+     - service records get their semantic checks: books must balance (completed +
        failed <= admitted, admitted + shed <= offered, shed_rate
        reproduces shed / offered), [--service-p999-budget NS] bounds
        every sweep record's sojourn_p999_ns (the admitted-op tail must
@@ -37,16 +31,13 @@ open Json
 let () =
   let file = ref None in
   let min_records = ref 1 in
-  let max_rel = ref None in
-  let require_beats = ref false in
   let service_p999_budget = ref None in
   let service_knee = ref None in
   let benches = ref [] in
   let usage () =
     prerr_endline
       "usage: validate_bench FILE [--min-records N] [--bench NAME]... \
-       [--max-rel X] [--require-beats] [--service-p999-budget NS] \
-       [--service-knee RATE]";
+       [--service-p999-budget NS] [--service-knee RATE]";
     exit 2
   in
   let positive r v =
@@ -60,12 +51,6 @@ let () =
         (match int_of_string_opt v with
         | Some m when m >= 1 -> min_records := m
         | _ -> usage ());
-        parse_args rest
-    | "--max-rel" :: v :: rest ->
-        positive max_rel v;
-        parse_args rest
-    | "--require-beats" :: rest ->
-        require_beats := true;
         parse_args rest
     | "--service-p999-budget" :: v :: rest ->
         positive service_p999_budget v;
@@ -119,7 +104,6 @@ let () =
     | _ -> fail "record %s: missing or non-finite %S" (match get r "impl" with Some (Str s) -> s | _ -> "?") k
   in
   let seen_bench = Hashtbl.create 8 in
-  let summaries = ref 0 and beats_ok = ref false in
   List.iteri
     (fun i r ->
       (match r with Obj _ -> () | _ -> fail "record %d not an object" i);
@@ -153,33 +137,6 @@ let () =
               | _ -> fail "record %s: field %S not a finite number" impl k)
             kv
       | _ -> ());
-      if bench = "adapt" then begin
-        let ends_with suffix = String.ends_with ~suffix impl in
-        if ends_with "/summary" then begin
-          incr summaries;
-          let best = num r "best_static_ns" and ad = num r "adaptive_ns" in
-          let rel = num r "rel_vs_best" in
-          if best <= 0.0 || ad <= 0.0 then
-            fail "summary %s: non-positive ns" impl;
-          if Float.abs ((ad /. best) -. rel) > 0.01 *. rel then
-            fail "summary %s: rel_vs_best %.4f does not match %.4f" impl rel
-              (ad /. best);
-          match !max_rel with
-          | Some x when rel > x ->
-              fail "summary %s: rel_vs_best %.4f exceeds --max-rel %.4f" impl
-                rel x
-          | _ -> ()
-        end;
-        if ends_with "/beats-default" then begin
-          let beats = num r "beats" in
-          if beats <> 0.0 && beats <> 1.0 then
-            fail "%s: beats must be 0 or 1" impl;
-          let d = num r "default_total_s" and a = num r "adaptive_total_s" in
-          if (a < d) <> (beats = 1.0) then
-            fail "%s: beats flag contradicts the totals" impl;
-          if beats = 1.0 then beats_ok := true
-        end
-      end;
       if bench = "service" then begin
         let offered = num r "offered"
         and admitted = num r "admitted"
@@ -217,11 +174,5 @@ let () =
       if not (Hashtbl.mem seen_bench b) then
         fail "no record of bench kind %S" b)
     !benches;
-  if List.mem "adapt" !benches && !summaries = 0 then
-    fail "adapt run produced no summary records";
-  if !require_beats && not !beats_ok then
-    fail "no beats-default record with beats = 1";
-  Printf.printf
-    "validate_bench: %s OK (%d records, %d adapt summaries%s)\n" file
-    (List.length records) !summaries
-    (if !beats_ok then ", beats default" else "")
+  Printf.printf "validate_bench: %s OK (%d records)\n" file
+    (List.length records)

@@ -18,13 +18,6 @@ module Make (K : Seqds.Seq_list.KEY) : sig
   val to_list : t -> K.t list
   (** Ascending; quiescent snapshot. *)
 
-  val pass_budget : t -> int
-  val set_pass_budget : t -> int -> unit
-  val scan_limit : t -> int
-
-  val set_scan_limit : t -> int -> unit
-  (** Engine knobs, delegated to {!Flat_combining}. *)
-
   val combiner_passes : t -> int
 
   val combiner_takeovers : t -> int

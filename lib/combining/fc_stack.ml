@@ -33,10 +33,6 @@ let pop h =
 
 let length t = Seqds.Seq_stack.length t.seq
 let to_list t = Seqds.Seq_stack.to_list t.seq
-let pass_budget t = Flat_combining.pass_budget t.fc
-let set_pass_budget t n = Flat_combining.set_pass_budget t.fc n
-let scan_limit t = Flat_combining.scan_limit t.fc
-let set_scan_limit t n = Flat_combining.set_scan_limit t.fc n
 let combiner_passes t = Flat_combining.combiner_passes t.fc
 let combiner_takeovers t = Flat_combining.combiner_takeovers t.fc
 let retired_records t = Flat_combining.retired_records t.fc

@@ -17,13 +17,6 @@ val length : 'a t -> int
 val to_list : 'a t -> 'a list
 (** Top-first; quiescent snapshot. *)
 
-val pass_budget : 'a t -> int
-val set_pass_budget : 'a t -> int -> unit
-val scan_limit : 'a t -> int
-
-val set_scan_limit : 'a t -> int -> unit
-(** Engine knobs, delegated to {!Flat_combining}. *)
-
 val combiner_passes : 'a t -> int
 
 val combiner_takeovers : 'a t -> int

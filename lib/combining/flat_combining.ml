@@ -31,17 +31,6 @@ type ('op, 'res) t = {
   takeovers : int Atomic.t;
   retired : int Atomic.t;
   takeover_budget : int;
-  (* Runtime-tunable knobs (the Tune controller's handles on this
-     engine). [pass_budget] = consecutive passes one lease holder runs
-     before releasing, so under sustained traffic the role — and the
-     structure's cache lines — stay put instead of bouncing per pass.
-     [scan_limit] = max records visited per pass (0 = unlimited);
-     bounded passes resume from [cursor], rotating through the
-     publication list so no record starves behind a long prefix of
-     retained idle records. *)
-  pass_budget : int Atomic.t;
-  scan_limit : int Atomic.t;
-  cursor : ('op, 'res) record option Atomic.t;
 }
 
 type ('op, 'res) handle = { owner : ('op, 'res) t; record : ('op, 'res) record }
@@ -64,15 +53,7 @@ let create ?(takeover_budget = default_takeover_budget) ~apply () =
     takeovers = Sync.Padded.atomic 0;
     retired = Sync.Padded.atomic 0;
     takeover_budget;
-    pass_budget = Sync.Padded.atomic 1;
-    scan_limit = Sync.Padded.atomic 0;
-    cursor = Sync.Padded.atomic None;
   }
-
-let pass_budget t = Atomic.get t.pass_budget
-let set_pass_budget t n = Atomic.set t.pass_budget (if n < 1 then 1 else n)
-let scan_limit t = Atomic.get t.scan_limit
-let set_scan_limit t n = Atomic.set t.scan_limit (if n < 0 then 0 else n)
 
 let handle owner =
   (* A record's [request] is written by its owner and consumed by the
@@ -96,90 +77,54 @@ let handle owner =
   link ();
   { owner; record }
 
-(* One combining pass, answering pending requests; returns how many it
-   answered. Runs as the holder of lease [my_term]; stops (without
-   error) as soon as the lease is observed stale.
+(* Answer every pending request from [node] to the tail as the holder of
+   lease [my_term], stopping (without error) as soon as the lease is
+   observed stale; returns [answered] plus the requests answered. *)
+let rec walk t my_term answered = function
+  | None -> answered
+  | Some r ->
+      Faults.point "fc.record";
+      if Atomic.get t.term <> my_term then answered
+      else begin
+        let answered =
+          match Atomic.get r.request with
+          | Some op as stored ->
+              (* Claim before applying: [retire] (the owner withdrawing a
+                 request it failed mid-publish) CASes the same cell, so
+                 exactly one side wins — a withdrawn op is never applied
+                 and an applied op is never withdrawn. *)
+              if Atomic.compare_and_set r.request stored None then begin
+                let result =
+                  match t.apply_op op with v -> Ok v | exception e -> Error e
+                in
+                Atomic.set r.response (Some result);
+                Atomic.incr t.progress;
+                answered + 1
+              end
+              else answered
+          | None -> answered
+        in
+        walk t my_term answered r.next
+      end
 
-   With [scan_limit = 0] the pass covers the whole publication list from
-   the head. A bounded pass visits at most [scan_limit] records,
-   resuming where the previous bounded pass left off ([cursor]) and
-   wrapping past the tail back through the head — records are never
-   unlinked (the list only grows at its head), so the cursor node is
-   always still reachable and physical-equality comparison is exact. *)
+(* One combining pass over the whole publication list from the head. *)
 let combine t my_term =
   Atomic.incr t.passes;
   Faults.point "fc.pass";
-  let limit = Atomic.get t.scan_limit in
-  let budget = ref (if limit <= 0 then max_int else limit) in
-  let answered = ref 0 in
-  let stopped = ref None in
-  let deposed = ref false in
-  (* Walk [node] towards the tail, stopping at [stop] (exclusive), the
-     list end, lease loss, or budget exhaustion (recording where). *)
-  let rec walk node stop =
-    match node with
-    | None -> ()
-    | Some r ->
-        if match stop with Some s -> r == s | None -> false then ()
-        else if !budget <= 0 then stopped := node
-        else begin
-          Faults.point "fc.record";
-          if Atomic.get t.term <> my_term then deposed := true
-          else begin
-            decr budget;
-            (match Atomic.get r.request with
-            | Some op as stored ->
-                (* Claim before applying: [retire] (the owner withdrawing
-                   a request it failed mid-publish) CASes the same cell,
-                   so exactly one side wins — a withdrawn op is never
-                   applied and an applied op is never withdrawn. *)
-                if Atomic.compare_and_set r.request stored None then begin
-                  let result =
-                    match t.apply_op op with v -> Ok v | exception e -> Error e
-                  in
-                  Atomic.set r.response (Some result);
-                  Atomic.incr t.progress;
-                  incr answered
-                end
-            | None -> ());
-            walk r.next stop
-          end
-        end
-  in
-  let head = Atomic.get t.publication in
-  let start = if limit <= 0 then head else
-    match Atomic.get t.cursor with Some _ as c -> c | None -> head
-  in
-  walk start None;
-  (* Wrap: head → start covers the records published since the cursor
-     node (and any prefix a previous bounded pass skipped). *)
-  if limit > 0 && !stopped = None && not !deposed then
-    (match (head, start) with
-    | Some h, Some s when h != s -> walk head start
-    | _ -> ());
-  (* Only the live lease holder rotates the cursor — a deposed combiner
-     racing the usurper here could otherwise skew fairness (never
-     correctness: the cursor only chooses where the next pass begins). *)
-  if limit > 0 && not !deposed then Atomic.set t.cursor !stopped;
+  let answered = walk t my_term 0 (Atomic.get t.publication) in
   (* One lease-guarded pass amortized [answered] ops — the combining
      analogue of a window splice. *)
-  Obs.splice ~kind:Obs.Event.k_fc_pass ~n:!answered;
-  !answered
+  Obs.splice ~kind:Obs.Event.k_fc_pass ~n:answered
 
 let try_release t my_term =
   ignore (Atomic.compare_and_set t.term my_term (my_term + 1))
 
-(* Run up to [pass_budget] passes as the holder of [my_term] — stopping
-   early once a pass answers nothing or the lease is lost — then release.
-   A simulated thread death ([Faults.Killed]) deliberately leaves the
-   lease held — a dead combiner releases nothing — so recovery must come
-   from a waiter's takeover; any other exception releases normally. *)
+(* Run one pass as the holder of [my_term], then release. A simulated
+   thread death ([Faults.Killed]) deliberately leaves the lease held — a
+   dead combiner releases nothing — so recovery must come from a
+   waiter's takeover; any other exception releases normally. *)
 let run_as_combiner t my_term =
-  let rec go n =
-    let answered = combine t my_term in
-    if n > 1 && answered > 0 && Atomic.get t.term = my_term then go (n - 1)
-  in
-  match go (Atomic.get t.pass_budget) with
+  match combine t my_term with
   | () -> try_release t my_term
   | exception e ->
       (match e with Faults.Killed _ -> () | _ -> try_release t my_term);

@@ -73,27 +73,6 @@ val retire : ('op, 'res) handle -> unit
     fulfilled — the owner's recovery layer poisons it. Safe to call from
     any thread once the owner is known dead, and idempotent. *)
 
-(** {2 Runtime-tunable knobs (the Tune controller's handles)} *)
-
-val pass_budget : ('op, 'res) t -> int
-
-val set_pass_budget : ('op, 'res) t -> int -> unit
-(** Consecutive passes one lease holder runs before releasing (clamped
-    to [>= 1]; default 1 — release after every pass, the classic
-    behavior). A holder stops early when a pass answers no requests or
-    its lease is usurped. Raising it under sustained traffic keeps the
-    combiner role, and the sequential structure's cache lines, on one
-    domain. Safe to call from any domain at any time. *)
-
-val scan_limit : ('op, 'res) t -> int
-
-val set_scan_limit : ('op, 'res) t -> int -> unit
-(** Max publication records visited per pass ([0] = unlimited, the
-    default; negative clamps to 0). Bounded passes rotate through the
-    list from a cursor, so a long prefix of retained idle records no
-    longer taxes every pass and no record starves. Safe to call from any
-    domain at any time. *)
-
 val combiner_passes : ('op, 'res) t -> int
 (** Number of combining passes executed (diagnostics). *)
 

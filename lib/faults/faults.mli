@@ -26,7 +26,7 @@
     [future.force], [future.await], [fc.apply], [fc.pass], [fc.record],
     [elim.exchange], [elim.offer], [elim.park], [conformance.round],
     [bench.op], [fuzz.step], [slack.force] (inside the fuzzer's [slack]
-    target's force thunks), [tune.epoch], [arrival.wait] (once per
+    target's force thunks), [arrival.wait] (once per
     open-loop or burst-pause wait, before it waits), the sharded map's
     [shard.apply] (a lease just taken, its window not yet applied) and
     transfer protocol's [shard.grant], [shard.ship], [shard.ack] (each

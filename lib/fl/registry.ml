@@ -28,7 +28,6 @@ type stack_instance = {
   s_drain : unit -> unit;
   s_cas_count : unit -> int;
   s_contents : unit -> int list;
-  s_dials : unit -> Tunable.dial list;
 }
 
 type stack_impl = { s_name : string; s_make : unit -> stack_instance }
@@ -50,7 +49,6 @@ let lockfree_stack () =
     s_drain = ignore;
     s_cas_count = (fun () -> Lockfree.Treiber_stack.cas_count s);
     s_contents = (fun () -> Lockfree.Treiber_stack.to_list s);
-    s_dials = (fun () -> []);
   }
 
 (* A weak/medium stack: per-handle pending windows over a shared Treiber
@@ -69,7 +67,6 @@ let handle_stack shared ~handle ~push ~pop ~flush ~abandon =
     s_drain = ignore;
     s_cas_count = (fun () -> Lockfree.Treiber_stack.cas_count shared);
     s_contents = (fun () -> Lockfree.Treiber_stack.to_list shared);
-    s_dials = (fun () -> []);
   }
 
 let weak_stack_with ~elimination () =
@@ -102,7 +99,6 @@ let strong_stack () =
     s_drain = (fun () -> Strong_stack.drain s);
     s_cas_count = (fun () -> Strong_stack.pending_cas_count s);
     s_contents = (fun () -> Strong_stack.to_list s);
-    s_dials = (fun () -> []);
   }
 
 let fc_stack () =
@@ -125,14 +121,6 @@ let fc_stack () =
        not CAS on the structure; report 0. *)
     s_cas_count = (fun () -> 0);
     s_contents = (fun () -> Combining.Fc_stack.to_list s);
-    s_dials =
-      (fun () ->
-        Tunable.of_fc ~name:"fc-stack"
-          ~pass_budget:(fun () -> Combining.Fc_stack.pass_budget s)
-          ~set_pass_budget:(Combining.Fc_stack.set_pass_budget s)
-          ~scan_limit:(fun () -> Combining.Fc_stack.scan_limit s)
-          ~set_scan_limit:(Combining.Fc_stack.set_scan_limit s)
-          ());
   }
 
 let elim_stack () =
@@ -153,7 +141,6 @@ let elim_stack () =
     s_drain = ignore;
     s_cas_count = (fun () -> Lockfree.Elimination_stack.cas_count s);
     s_contents = (fun () -> Lockfree.Elimination_stack.to_list s);
-    s_dials = (fun () -> []);
   }
 
 let stack_impls =
@@ -181,7 +168,6 @@ type queue_instance = {
   q_drain : unit -> unit;
   q_cas_count : unit -> int;
   q_contents : unit -> int list;
-  q_dials : unit -> Tunable.dial list;
 }
 
 type queue_impl = { q_name : string; q_make : unit -> queue_instance }
@@ -203,7 +189,6 @@ let lockfree_queue () =
     q_drain = ignore;
     q_cas_count = (fun () -> Lockfree.Ms_queue.cas_count q);
     q_contents = (fun () -> Lockfree.Ms_queue.to_list q);
-    q_dials = (fun () -> []);
   }
 
 (* A weak/medium queue: per-handle pending windows over a shared MS
@@ -222,7 +207,6 @@ let handle_queue shared ~handle ~enqueue ~dequeue ~flush ~abandon =
     q_drain = ignore;
     q_cas_count = (fun () -> Lockfree.Ms_queue.cas_count shared);
     q_contents = (fun () -> Lockfree.Ms_queue.to_list shared);
-    q_dials = (fun () -> []);
   }
 
 let weak_queue () =
@@ -253,7 +237,6 @@ let strong_queue () =
     q_drain = (fun () -> Strong_queue.drain q);
     q_cas_count = (fun () -> Strong_queue.pending_cas_count q);
     q_contents = (fun () -> Strong_queue.to_list q);
-    q_dials = (fun () -> []);
   }
 
 let fc_queue () =
@@ -274,14 +257,6 @@ let fc_queue () =
     q_drain = ignore;
     q_cas_count = (fun () -> 0);
     q_contents = (fun () -> Combining.Fc_queue.to_list q);
-    q_dials =
-      (fun () ->
-        Tunable.of_fc ~name:"fc-queue"
-          ~pass_budget:(fun () -> Combining.Fc_queue.pass_budget q)
-          ~set_pass_budget:(Combining.Fc_queue.set_pass_budget q)
-          ~scan_limit:(fun () -> Combining.Fc_queue.scan_limit q)
-          ~set_scan_limit:(Combining.Fc_queue.set_scan_limit q)
-          ());
   }
 
 let queue_impls =
@@ -309,7 +284,6 @@ type set_instance = {
   l_drain : unit -> unit;
   l_cas_count : unit -> int;
   l_contents : unit -> int list;
-  l_dials : unit -> Tunable.dial list;
 }
 
 type set_impl = { l_name : string; l_make : unit -> set_instance }
@@ -329,7 +303,6 @@ let lockfree_set () =
     l_drain = ignore;
     l_cas_count = (fun () -> Harris.cas_count l);
     l_contents = (fun () -> Harris.to_list l);
-    l_dials = (fun () -> []);
   }
 
 (* A weak/medium/txn set: per-handle pending windows over a shared Harris
@@ -349,7 +322,6 @@ let handle_set shared ~handle ~insert ~remove ~contains ~flush ~abandon =
     l_drain = ignore;
     l_cas_count = (fun () -> Harris.cas_count shared);
     l_contents = (fun () -> Harris.to_list shared);
-    l_dials = (fun () -> []);
   }
 
 let weak_set () =
@@ -383,7 +355,6 @@ let strong_set_with ~sort_batch =
     l_drain = (fun () -> SL.drain l);
     l_cas_count = (fun () -> SL.pending_cas_count l);
     l_contents = (fun () -> SL.to_list l);
-    l_dials = (fun () -> []);
   }
 
 let strong_set () = strong_set_with ~sort_batch:true
@@ -411,14 +382,6 @@ let fc_set () =
     l_drain = ignore;
     l_cas_count = (fun () -> 0);
     l_contents = (fun () -> FCSet.to_list l);
-    l_dials =
-      (fun () ->
-        Tunable.of_fc ~name:"fc-set"
-          ~pass_budget:(fun () -> FCSet.pass_budget l)
-          ~set_pass_budget:(FCSet.set_pass_budget l)
-          ~scan_limit:(fun () -> FCSet.scan_limit l)
-          ~set_scan_limit:(FCSet.set_scan_limit l)
-          ());
   }
 
 let set_impls =

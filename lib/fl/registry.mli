@@ -31,9 +31,6 @@ type stack_instance = {
   s_drain : unit -> unit;
   s_cas_count : unit -> int;
   s_contents : unit -> int list;  (** top-first; quiescent + drained *)
-  s_dials : unit -> Tunable.dial list;
-      (** Structure-level tuning dials (empty when nothing is tunable);
-          per-handle slack dials are the caller's, not the registry's. *)
 }
 
 type stack_impl = { s_name : string; s_make : unit -> stack_instance }
@@ -55,7 +52,6 @@ type queue_instance = {
   q_drain : unit -> unit;
   q_cas_count : unit -> int;
   q_contents : unit -> int list;  (** oldest-first *)
-  q_dials : unit -> Tunable.dial list;
 }
 
 type queue_impl = { q_name : string; q_make : unit -> queue_instance }
@@ -75,7 +71,6 @@ type set_instance = {
   l_drain : unit -> unit;
   l_cas_count : unit -> int;
   l_contents : unit -> int list;  (** ascending *)
-  l_dials : unit -> Tunable.dial list;
 }
 
 type set_impl = { l_name : string; l_make : unit -> set_instance }

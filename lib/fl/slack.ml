@@ -13,12 +13,12 @@ let create ?(order = Newest_first) slack =
 
 let slack t = t.slack
 
-(* Retuning entry point (Tune controller). A [t] is owned by one thread,
-   but the controller writes from its own domain: a single immediate-int
-   store is atomic in OCaml, and the owner merely drains earlier or
-   later by one window — both orders are FL-correct, so no fence is
-   needed. Shrinking below the current fill takes effect at the owner's
-   next [note]. *)
+(* Retuning entry point (the admission controller's squeeze). A [t] is
+   owned by one thread, but the controller writes from its own domain: a
+   single immediate-int store is atomic in OCaml, and the owner merely
+   drains earlier or later by one window — both orders are FL-correct,
+   so no fence is needed. Shrinking below the current fill takes effect
+   at the owner's next [note]. *)
 let set_slack t n = t.slack <- (if n < 1 then 1 else n)
 
 let pending t = Opbuf.length t.window

@@ -43,7 +43,6 @@ type runner =
   | RSlack
   | RFclease
   | RShard
-  | RTuned
   | RService
 
 type target = {
@@ -132,16 +131,6 @@ let targets =
         condition = Lin.Order.Weak;
         kill_plan = true;
         runner = RShard;
-      };
-      (* History-checked conformance under a live self-tuning
-         controller; kill plans can only reach the controller's
-         "tune.epoch" point (see [tuned_run]). *)
-      {
-        name = "tuned";
-        kind = P.Stack;
-        condition = Conformance.claimed_condition "weak";
-        kill_plan = true;
-        runner = RTuned;
       };
       (* Admission-controlled session path: every map op passes an
          Overload gate held in the shedding regime; admitted ops are
@@ -250,31 +239,11 @@ let stack_record_inst (inst : R.stack_instance) prog =
     ~drain:(fun () -> inst.R.s_drain ())
     ~check:(fun h -> h)
 
-let stack_run_inst (inst : R.stack_instance) ~name cond prog =
+let stack_run (impl : R.stack_impl) cond prog =
   checked
     ~check_segmented:(fun c h -> CS.check_segmented c h)
-    ~pp_history:CS.pp_history ~name cond
-    (stack_record_inst inst prog)
-
-let stack_run (impl : R.stack_impl) cond prog =
-  stack_run_inst (impl.R.s_make ()) ~name:("stack/" ^ impl.R.s_name) cond prog
-
-(* Live-retuning target: the weak stack runs an ordinary history-checked
-   program while a [Tune.Controller] on a fast epoch retunes a slack
-   dial from live telemetry. The one history-checked target that accepts
-   kill plans: its operations never pass a kill point — the only
-   reachable one is the controller's ["tune.epoch"] — so a kill murders
-   the tuner, never an operation, and the history must stay conformant
-   with the last-good configuration frozen in place. *)
-let tuned_run cond prog =
-  let inst = (R.find_stack "weak").R.s_make () in
-  let sl = Fl.Slack.create 8 in
-  let ctl = Tune.Controller.create ~epoch:0.0005 () in
-  Tune.Controller.add_dial ctl (Fl.Tunable.of_slack ~name:"tuned.slack" sl);
-  Tune.Controller.start ctl;
-  Fun.protect
-    ~finally:(fun () -> Tune.Controller.stop ctl)
-    (fun () -> stack_run_inst inst ~name:"tuned" cond prog)
+    ~pp_history:CS.pp_history ~name:("stack/" ^ impl.R.s_name) cond
+    (stack_record_inst (impl.R.s_make ()) prog)
 
 let queue_handler (o : R.queue_ops) ~clock ~thread =
   fun log (st : P.step) ->
@@ -821,7 +790,6 @@ let execute cond t prog plan ~after =
         | RSlack -> slack_run prog
         | RFclease -> fclease_run prog
         | RShard -> shardmap_run prog
-        | RTuned -> tuned_run cond prog
         | RService -> service_run cond prog ~with_kills:(Plan.has_kills plan)
       in
       after out)

@@ -12,14 +12,8 @@
     combiner-lease sum oracle) and [shardmap] (sharded-map transfer
     protocol: liveness — no future outlives the recovery drain — and
     store refinement under kills at every protocol step). Targets with
-    [kill_plan] accept kill plans; for history-checked targets that is
-    normally forbidden — killed operations are ambiguous in a recorded
-    history — with one exception: [tuned], which fuzzes the weak stack
-    while a live {!Tune.Controller} retunes a slack dial.
-    Its operations never pass a kill point (the only reachable one is
-    the controller's ["tune.epoch"]), so a kill can only take down the
-    tuner, and the history must stay conformant with the last-good
-    configuration left in place.
+    [kill_plan] accept kill plans; the plain history-checked targets do
+    not — killed operations are ambiguous in a recorded history.
 
     The [service] target fuzzes the admission-controlled session path:
     map ops pass a live {!Workload.Overload} gate held in the shedding
@@ -59,8 +53,8 @@ type target = {
 val targets : target list
 (** Every registry implementation (stacks, queues, lists) plus
     [map/weak], the Figure-3 two-queue shape ([fig3]), the [slack],
-    [fclease] and [shardmap] oracles, and the live-retuning [tuned]
-    target. *)
+    [fclease] and [shardmap] oracles, and the admission-controlled
+    [service] target. *)
 
 val find : string -> target
 (** Raises [Invalid_argument] for unknown names. *)

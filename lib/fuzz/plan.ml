@@ -30,17 +30,13 @@ let stall_points =
     "shard.grant";
     "shard.ship";
     "shard.ack";
-    "tune.epoch";
     "service.admit";
     "service.shed";
     "service.epoch";
   ]
 
 (* Kill points fire only in kill-plan targets' code paths: the fc.*
-   points in [fclease], the shard.* points in [shardmap], "tune.epoch"
-   — the self-tuning controller's heartbeat — in [tuned] (the one
-   history-checked target that accepts kills: its operations never pass
-   a kill point, so a kill can only murder the controller), and the
+   points in [fclease], the shard.* points in [shardmap], and the
    service.* points in [service] (admit/shed kill a worker mid-request,
    degrade/epoch kill the admission controller). A kill step whose
    point the target never reaches is simply inert. *)
@@ -52,7 +48,6 @@ let kill_points =
     "shard.grant";
     "shard.ship";
     "shard.ack";
-    "tune.epoch";
     "service.admit";
     "service.shed";
     "service.degrade";

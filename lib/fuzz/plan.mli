@@ -9,9 +9,7 @@
     Stall plans use only [Delay]/[Sleep]. [Kill] actions are generated
     only when [kills] is set: a killed operation may or may not have
     taken effect, which a recorded-history checker cannot tell apart, so
-    history-checked targets never see kills — except [tuned], whose
-    operations never pass a kill point (the only reachable kill point is
-    the controller's ["tune.epoch"]). *)
+    history-checked targets never see kills. *)
 
 type t = Faults.plan_step list
 
@@ -20,9 +18,8 @@ val stall_points : string list
     before every program step). *)
 
 val kill_points : string list
-(** The default points kill actions are drawn from: the flat-combining
-    and shard transfer protocol points, plus the self-tuning
-    controller's ["tune.epoch"]. *)
+(** The default points kill actions are drawn from: the flat-combining,
+    shard transfer protocol and service points. *)
 
 val generate :
   ?intensity:int ->

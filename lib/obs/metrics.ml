@@ -26,8 +26,8 @@ type t = {
   splices : C.t;
   splice_ops : C.t;
   (* Per-splice-kind counters, indexed by Event.k_* (length
-     Event.kind_count). The controller needs to attribute batch sizes to
-     the knob that produced them — slack drains vs combining passes —
+     Event.kind_count), so a report can attribute batch sizes to the
+     mechanism that produced them — slack drains vs combining passes —
      which the aggregate splice histogram cannot do. *)
   splice_kind_splices : C.t array;
   splice_kind_ops : C.t array;
@@ -321,11 +321,3 @@ let elim_hit_rate s =
   let attempts = s.elim_hits + s.elim_misses in
   if attempts = 0 then 0.0
   else float_of_int s.elim_hits /. float_of_int attempts
-
-(* Mean batch size attributed to one splice kind (an [Event.kind_name]
-   constant); [0.] when that kind recorded no splices. *)
-let kind_mean_batch s k =
-  if k < 0 || k >= Event.kind_count then
-    invalid_arg "Metrics.kind_mean_batch: kind out of range";
-  let n = s.splice_kind_splices.(k) in
-  if n = 0 then 0.0 else float_of_int s.splice_kind_ops.(k) /. float_of_int n

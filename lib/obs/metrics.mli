@@ -131,8 +131,3 @@ val service_p999 : snapshot -> int
 
 val elim_hit_rate : snapshot -> float
 (** hits / (hits + misses); [0.] with no attempts. *)
-
-val kind_mean_batch : snapshot -> int -> float
-(** Mean batch size of the splices attributed to one {!Event} splice
-    kind; [0.] when that kind recorded none. Raises [Invalid_argument]
-    out of range. *)

@@ -1,60 +1,22 @@
-(* Arrival-process pacing for benchmark workers.
+(* Open-loop arrival schedules for the service layer and its benchmark.
 
-   Two modes live here. The original closed-loop pacer (type [t]) gates
-   an issue loop: steady back-to-back issue, or bursts separated by idle
-   gaps. The open-loop schedule (type [schedule]) is the service layer's
-   generator: it produces the {e intended} arrival time of every request
-   up front, independent of how fast the system absorbs them — when the
-   system falls behind, requests queue (and their sojourn clocks keep
-   running from the intended stamp), which is what makes the recorded
-   latency coordinated-omission-safe.
+   The schedule (type [schedule]) produces the {e intended} arrival time
+   of every request up front, independent of how fast the system absorbs
+   them — when the system falls behind, requests queue (and their
+   sojourn clocks keep running from the intended stamp), which is what
+   makes the recorded latency coordinated-omission-safe.
 
    Gaps are waited out with [Sync.Mono.wait_until_ns]: a sleep for the
    part of the gap a sleep cannot overshoot, then a loop that yields the
    core, so a request issues within a few µs of its stamp and a waiter
    never starves a thread it shares a core with. *)
 
-type t = Steady | Bursty of { burst : int; pause_ns : int }
-
-let to_string = function
-  | Steady -> "steady"
-  | Bursty { burst; pause_ns } ->
-      Printf.sprintf "bursty-%dx%dus" burst (pause_ns / 1_000)
-
 (* Wait until the monotonic clock reaches [deadline_ns]; returns
    immediately when the deadline is already past (the open-loop
    generator is behind — it must issue, not skip). *)
-let wait_until_ns deadline_ns =
+let wait_until deadline_ns =
   Faults.point "arrival.wait";
   Sync.Mono.wait_until_ns deadline_ns
-
-(* ------------------------- closed-loop pacer ------------------------- *)
-
-(* Per-worker pacer state; one per worker thread, never shared. *)
-type pacer = { arrival : t; mutable issued : int }
-
-let pacer arrival =
-  (match arrival with
-  | Steady -> ()
-  | Bursty { burst; pause_ns } ->
-      if burst < 1 then invalid_arg "Arrival.pacer: burst must be >= 1";
-      if pause_ns < 0 then invalid_arg "Arrival.pacer: pause_ns must be >= 0");
-  { arrival; issued = 0 }
-
-(* Call once per issued operation; waits out the idle gap when the burst
-   is over. A zero gap (and a burst of 1 with a zero gap) is free. *)
-let tick p =
-  match p.arrival with
-  | Steady -> ()
-  | Bursty { burst; pause_ns } ->
-      p.issued <- p.issued + 1;
-      if p.issued >= burst then begin
-        p.issued <- 0;
-        if pause_ns > 0 then
-          wait_until_ns (Sync.Mono.now_ns_int () + pause_ns)
-      end
-
-(* ------------------------- open-loop schedule ------------------------ *)
 
 type process =
   | Periodic of { rate : float }
@@ -122,5 +84,3 @@ let next_arrival_ns s =
         s.next_ns <- stamp + gap_ns ~rate ~scale:(float_of_int burst)
       end);
   stamp
-
-let wait_until = wait_until_ns

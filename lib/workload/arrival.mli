@@ -1,39 +1,16 @@
-(** Arrival-process pacing.
+(** Open-loop arrival processes.
 
-    Two modes. The {e closed-loop} pacer ([t]/[pacer]/[tick]) gates an
-    issue loop: steady back-to-back issue, or bursts of [burst]
-    operations separated by [pause_ns] idle gaps. The adapt benchmark
-    sweeps both regimes; bursty arrivals are the stress case for an
-    online controller.
-
-    The {e open-loop} schedule ([process]/[schedule]/[next_arrival_ns])
-    is the service layer's generator: it stamps every request with its
-    {e intended} arrival time, independent of how fast the system
-    absorbs requests. When the system falls behind, the generator does
-    not slow down — requests queue, and their sojourn clocks keep
-    running from the intended stamp. That is what makes latency
-    recorded against these stamps coordinated-omission-safe.
+    A {!schedule} is the service layer's generator: it stamps every
+    request with its {e intended} arrival time, independent of how fast
+    the system absorbs requests. When the system falls behind, the
+    generator does not slow down — requests queue, and their sojourn
+    clocks keep running from the intended stamp. That is what makes
+    latency recorded against these stamps coordinated-omission-safe.
 
     All waits go through {!Sync.Mono.wait_until_ns} (a sleep, then a
-    loop that yields the core; never a raw spin), and no rate, burst size or gap — including burst 1, a zero gap, and
-    arbitrarily high rates — can divide by zero or hang. *)
-
-type t = Steady | Bursty of { burst : int; pause_ns : int }
-
-val to_string : t -> string
-
-type pacer
-(** Per-worker state; one per worker thread, never shared. *)
-
-val pacer : t -> pacer
-(** Raises [Invalid_argument] if [burst < 1] or [pause_ns < 0]. *)
-
-val tick : pacer -> unit
-(** Call once per issued operation; waits out the idle gap when a burst
-    ends. [Steady] ticks, zero gaps, and bursts of 1 with no gap are
-    free. *)
-
-(** {2 Open-loop arrival processes} *)
+    loop that yields the core; never a raw spin), and no rate, burst
+    size or gap — including burst 1 and arbitrarily high rates — can
+    divide by zero or hang. *)
 
 type process =
   | Periodic of { rate : float }  (** deterministic interarrival gaps *)

@@ -1,7 +1,7 @@
-(* The admission controller: a policy on the shared epoch loop
-   (Tune.Epoch) that walks the Admit -> Squeeze -> Shed -> Degrade
-   ladder on hot epochs and back, with hysteresis, on calm ones. See
-   overload.mli for the contract.
+(* The admission controller: a policy on the background epoch loop
+   (Epoch) that walks the Admit -> Squeeze -> Shed -> Degrade ladder on
+   hot epochs and back, with hysteresis, on calm ones. See overload.mli
+   for the contract.
 
    Concurrency shape: [admit] is called from every worker on every
    arrival, so the decision reads two atomics (stage, shed percent) and
@@ -65,14 +65,14 @@ type t = {
   escalations : int Atomic.t;
   recoveries : int Atomic.t;
   mutable calm_streak : int; (* owned by the [step] caller *)
-  loop : Tune.Epoch.t;
+  loop : Epoch.t;
 }
 
 let default_epoch = 0.005
 
 let create ?(cfg = default) ?(epoch = default_epoch) () =
   let loop =
-    Tune.Epoch.create ~owner:"Overload" ~point:"service.epoch" ~period:epoch
+    Epoch.create ~owner:"Overload" ~point:"service.epoch" ~period:epoch
   in
   if cfg.min_ops < 0 then invalid_arg "Overload.create: min_ops < 0";
   if cfg.p99_budget_ns < 1 || cfg.pending_budget_ns < 1
@@ -107,15 +107,15 @@ let offered t = Atomic.get t.offered
 let sheds t = Atomic.get t.sheds
 let escalations t = Atomic.get t.escalations
 let recoveries t = Atomic.get t.recoveries
-let epochs t = Tune.Epoch.epochs t.loop
-let errors t = Tune.Epoch.errors t.loop
+let epochs t = Epoch.epochs t.loop
+let errors t = Epoch.errors t.loop
 
 (* Set every registered window to [bound orig]; a window whose setter
    raises costs one error, not the others. *)
 let set_slacks t bound =
   List.iter
     (fun (s, orig) ->
-      try Fl.Slack.set_slack s (bound orig) with _ -> Tune.Epoch.error t.loop)
+      try Fl.Slack.set_slack s (bound orig) with _ -> Epoch.error t.loop)
     (Atomic.get t.slacks)
 
 let squeeze_slacks t = set_slacks t (fun _ -> t.cfg.squeeze_slack)
@@ -131,7 +131,7 @@ let register_slack t s =
   (* A worker joining a squeezed service squeezes immediately. *)
   if Atomic.get t.stage >= 1 then
     try Fl.Slack.set_slack s t.cfg.squeeze_slack
-    with _ -> Tune.Epoch.error t.loop
+    with _ -> Epoch.error t.loop
 
 (* Apply the actions of a transition old -> next (one rung either way)
    and publish it. Runs on the [step] caller only. *)
@@ -175,7 +175,7 @@ let de_escalate t =
 
 (* One epoch's ladder move over a metrics diff. *)
 let observe t d =
-  let o = Tune.Policy.observe d in
+  let force_p99 = Obs.Metrics.force_p99 d in
   let pend_p99 = Obs.Metrics.pendingness_p99 d in
   (* Sojourn is the open-loop signal: when the arrival generator falls
      behind, every individual force can still be fast — only the
@@ -184,21 +184,21 @@ let observe t d =
   let sojourn_p99 = Obs.Metrics.service_p99 d in
   let completions = Obs.Histogram.count d.Obs.Metrics.service_ns in
   let busy =
-    o.Tune.Policy.ops >= t.cfg.min_ops || completions >= t.cfg.min_ops
+    d.Obs.Metrics.futures_created >= t.cfg.min_ops
+    || completions >= t.cfg.min_ops
   in
   let under frac signal budget =
     float_of_int signal <= frac *. float_of_int budget
   in
   let hot =
     busy
-    && (o.Tune.Policy.force_p99_ns > t.cfg.p99_budget_ns
+    && (force_p99 > t.cfg.p99_budget_ns
        || pend_p99 > t.cfg.pending_budget_ns
        || sojourn_p99 > t.cfg.sojourn_budget_ns)
   in
   let calm =
     (not busy)
-    || (under t.cfg.recover_fraction o.Tune.Policy.force_p99_ns
-          t.cfg.p99_budget_ns
+    || (under t.cfg.recover_fraction force_p99 t.cfg.p99_budget_ns
        && under t.cfg.recover_fraction pend_p99 t.cfg.pending_budget_ns
        && under t.cfg.recover_fraction sojourn_p99 t.cfg.sojourn_budget_ns)
   in
@@ -215,7 +215,7 @@ let observe t d =
   end
   else t.calm_streak <- 0
 
-let step t = Tune.Epoch.step t.loop (observe t)
+let step t = Epoch.step t.loop (observe t)
 
 let force_stage t s =
   let target = stage_index s in
@@ -254,6 +254,6 @@ let admit t =
     end
   end
 
-let start t = Tune.Epoch.start t.loop (observe t)
-let stop t = Tune.Epoch.stop t.loop
-let running t = Tune.Epoch.running t.loop
+let start t = Epoch.start t.loop (observe t)
+let stop t = Epoch.stop t.loop
+let running t = Epoch.running t.loop

@@ -1,8 +1,8 @@
 (** Backpressure and admission control for the open-loop service layer.
 
     A controller that watches force-latency p99, queue pendingness and
-    the open-loop service sojourn from {!Obs.Metrics} diffs (the same
-    epoch machinery as {!Tune.Controller}) and walks a four-stage
+    the open-loop service sojourn from {!Obs.Metrics} diffs (one
+    background {!Epoch} loop) and walks a four-stage
     ladder as overload sets in, recovering stage by stage — with
     hysteresis — when every tail falls back under budget:
 
@@ -12,7 +12,7 @@
         +«── calm ─────+«──── calm ─────+«──── calm ───+
     v}
 
-    - {b Admit}: every request accepted, structures run as tuned.
+    - {b Admit}: every request accepted, structures run at their own slack.
     - {b Squeeze}: per-handle slack windows are shrunk to
       [squeeze_slack] — smaller pending windows trade batching for
       latency before anything is refused.

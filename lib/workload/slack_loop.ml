@@ -101,15 +101,11 @@ let set = set_with (fun () -> D.list_op ~key_range)
 let zipf_set =
   set_with (fun () -> D.list_op_skewed (D.zipf ~n:key_range ()))
 
-let measure ?order ?arrival ?(on_window = ignore) ~seed ~slack ~threads
-    ~repeats ~ops w =
+let measure ?order ~seed ~slack ~threads ~repeats ~ops w =
   let worker inst ~thread ~ops =
     let step, flush = w.handle inst (Rng.create ~seed ~stream:thread) in
     let sl = Fl.Slack.create ?order slack in
-    on_window sl;
-    let pacer = Option.map Arrival.pacer arrival in
     for _ = 1 to ops do
-      Option.iter Arrival.tick pacer;
       Fl.Slack.note sl (step ())
     done;
     Fl.Slack.drain sl;

@@ -41,8 +41,6 @@ val prefill_set : Fl.Registry.set_instance -> Fl.Registry.set_instance
 
 val measure :
   ?order:Fl.Slack.order ->
-  ?arrival:Arrival.t ->
-  ?on_window:(Fl.Slack.t -> unit) ->
   seed:int ->
   slack:int ->
   threads:int ->
@@ -51,6 +49,4 @@ val measure :
   'i t ->
   Runner.measurement
 (** Thread [i] draws from [Rng.create ~seed ~stream:i] and notes into a
-    fresh [Fl.Slack.create ?order slack] window, which [on_window] sees
-    before the first operation (e.g. to hand it to a controller).
-    [arrival] paces every operation ({!Arrival.tick}). *)
+    fresh [Fl.Slack.create ?order slack] window. *)

@@ -68,7 +68,6 @@ let broken_stack : R.stack_impl =
           s_drain = ignore;
           s_cas_count = (fun () -> 0);
           s_contents = (fun () -> Lockfree.Ms_queue.to_list q);
-          s_dials = (fun () -> []);
         });
   }
 
@@ -109,7 +108,6 @@ let lossy_stack : R.stack_impl =
           s_drain = ignore;
           s_cas_count = (fun () -> 0);
           s_contents = (fun () -> Lockfree.Treiber_stack.to_list s);
-          s_dials = (fun () -> []);
         });
   }
 

@@ -300,33 +300,6 @@ let test_slack_invalid () =
 
 (* ------------------------------ arrival ------------------------------ *)
 
-let test_arrival_pacer_validation () =
-  Alcotest.check_raises "zero burst"
-    (Invalid_argument "Arrival.pacer: burst must be >= 1") (fun () ->
-      ignore (Workload.Arrival.pacer (Bursty { burst = 0; pause_ns = 10 })));
-  Alcotest.check_raises "negative pause"
-    (Invalid_argument "Arrival.pacer: pause_ns must be >= 0") (fun () ->
-      ignore (Workload.Arrival.pacer (Bursty { burst = 4; pause_ns = -1 })))
-
-(* Burst 1 and zero gap are degenerate but legal: the pacer must cost
-   nothing (no div-by-zero, no wait) rather than spin or hang. *)
-let test_arrival_pacer_degenerate () =
-  let t0 = Sync.Mono.now () in
-  let p = Workload.Arrival.pacer (Bursty { burst = 1; pause_ns = 0 }) in
-  for _ = 1 to 100_000 do
-    Workload.Arrival.tick p
-  done;
-  let p2 = Workload.Arrival.pacer (Bursty { burst = 3; pause_ns = 0 }) in
-  for _ = 1 to 100_000 do
-    Workload.Arrival.tick p2
-  done;
-  let steady = Workload.Arrival.pacer Workload.Arrival.Steady in
-  for _ = 1 to 100_000 do
-    Workload.Arrival.tick steady
-  done;
-  Alcotest.(check bool) "degenerate pacers are free" true
-    (Sync.Mono.now () -. t0 < 5.0)
-
 let test_arrival_process_validation () =
   let bad name p =
     Alcotest.check_raises name
@@ -424,7 +397,7 @@ let test_arrival_process_names () =
   Alcotest.(check string) "burst" "burst-8x1000/s"
     (Workload.Arrival.process_to_string (Burst { rate = 1_000.0; burst = 8 }))
 
-(* The pacer's timing tests read wall and CPU clocks; FLDS_FAULTS
+(* The arrival timing tests read wall and CPU clocks; FLDS_FAULTS
    perturbs every wait at [arrival.wait], so they skip under it. *)
 
 (* Two domains whose first wait starts at once both measure the sleep
@@ -646,6 +619,40 @@ let test_overload_start_stop () =
   Alcotest.(check bool) "background epochs ran" true (Ov.epochs ov >= 3);
   Ov.stop ov (* idempotent *)
 
+(* A kill at the top of a background epoch ends the loop, not the
+   service: the stage the ladder had reached and the slack it squeezed
+   stay in force, the death counts as one error, and stop reaps the dead
+   domain. *)
+let test_overload_kill () =
+  let ov = Ov.create ~cfg:ov_cfg ~epoch:0.001 () in
+  let sl = Fl.Slack.create 16 in
+  Ov.register_slack ov sl;
+  synth_hot ~budget_ns:ov_cfg.p99_budget_ns;
+  Ov.step ov;
+  synth_hot ~budget_ns:ov_cfg.p99_budget_ns;
+  Ov.step ov;
+  Alcotest.(check string) "escalated to shed" "shed"
+    (Ov.stage_name (Ov.stage ov));
+  Faults.on "service.epoch" (fun _ -> Faults.Kill);
+  Fun.protect
+    ~finally:(fun () -> Faults.clear "service.epoch")
+    (fun () ->
+      Ov.start ov;
+      let deadline = Sync.Mono.now () +. 5.0 in
+      while Ov.errors ov = 0 && Sync.Mono.now () < deadline do
+        Unix.sleepf 0.001
+      done);
+  Alcotest.(check int) "one loop death" 1 (Ov.errors ov);
+  Alcotest.(check int) "no background epoch ran" 2 (Ov.epochs ov);
+  Alcotest.(check string) "last-good stage kept" "shed"
+    (Ov.stage_name (Ov.stage ov));
+  Alcotest.(check int) "shed fraction kept" ov_cfg.shed_floor
+    (Ov.shed_percent ov);
+  Alcotest.(check int) "squeezed slack kept" ov_cfg.squeeze_slack
+    (Fl.Slack.slack sl);
+  Ov.stop ov;
+  Alcotest.(check bool) "not running" false (Ov.running ov)
+
 (* ------------------------------ service ------------------------------ *)
 
 (* Closed-form bookkeeping identities of a clean (chaos-free) run: every
@@ -797,10 +804,6 @@ let () =
         ] );
       ( "arrival",
         [
-          Alcotest.test_case "pacer validation" `Quick
-            test_arrival_pacer_validation;
-          Alcotest.test_case "burst 1 / zero gap are free" `Quick
-            test_arrival_pacer_degenerate;
           Alcotest.test_case "process validation" `Quick
             test_arrival_process_validation;
           Alcotest.test_case "periodic schedule" `Quick
@@ -832,6 +835,8 @@ let () =
           Alcotest.test_case "admit fractions" `Quick
             test_overload_admit_fractions;
           Alcotest.test_case "start/stop" `Quick test_overload_start_stop;
+          Alcotest.test_case "kill leaves last-good stage" `Quick
+            test_overload_kill;
         ] );
       ( "service",
         [
